@@ -15,7 +15,7 @@ point and a summary block, plus a manifest next to it recording the
 effective configuration, library versions, input checksums, and the
 report's SHA-256.  Reports carry no timestamps and every float is
 written with shortest-roundtrip repr, so the same inputs produce byte
-identical reports at any --workers setting.
+identical reports.
 
 Configuration precedence is flags, then ``--config`` key=value file,
 then built-in defaults.  Exit codes: 0 success, 1 hard invariant
@@ -293,7 +293,7 @@ def _load_zeroset(cfg, inputs):
         inputs[path] = _sha256_file(path)
     except OSError as exc:
         raise UsageError(f"cannot read zeros file {path}: {exc}")
-    if path.endswith(".npz"):
+    if zeros.is_cache(path):
         zset = zeros.load_cache(path)
         if cfg.count is not None:
             if cfg.count > len(zset.gammas):
@@ -454,8 +454,7 @@ def _run_summatory(cfg, zset, inputs):
     for x in grid:
         x = float(x)
         direct = sieve.summatory(table, x)
-        bd = explicit.explicit_summatory(kind, x, zset, T=cfg.T,
-                                         workers=cfg.workers)
+        bd = explicit.explicit_summatory(kind, x, zset, T=cfg.T)
         worst_imag = max(worst_imag,
                          _check_realness(bd, failures, f"x={x!r}"))
         resid = abs(direct - bd.total)
@@ -491,7 +490,6 @@ def _run_cesaro(cfg, zset, inputs):
         x = float(x)
         direct = convolve.cesaro_sum(series, x)
         bd = explicit.explicit_cesaro(kind, x, zset, T=cfg.T, d=d,
-                                      workers=cfg.workers,
                                       extrapolated=extrapolated)
         worst_imag = max(worst_imag,
                          _check_realness(bd, failures, f"x={x!r}"))
@@ -512,8 +510,7 @@ def _run_dirichlet(cfg, zset, inputs):
     series = convolve.convolve_fft(table, 2, limit)
     s = cfg.s
     direct = explicit.dirichlet_direct(series, s, limit)
-    bd = explicit.dirichlet_explicit(sieve.KIND_LIOUVILLE, s, zset, T=cfg.T,
-                                     workers=cfg.workers)
+    bd = explicit.dirichlet_explicit(sieve.KIND_LIOUVILLE, s, zset, T=cfg.T)
     failures = []
     if s.imag == 0.0:
         _check_realness(bd, failures, f"s={s.real!r}")
@@ -558,7 +555,7 @@ def _run_exponential(cfg, zset, inputs):
         y = float(y)
         direct = explicit.exponential_direct(series, y, limit)
         bd = explicit.exponential_explicit(sieve.KIND_LIOUVILLE, y, zset,
-                                           T=cfg.T, workers=cfg.workers)
+                                           T=cfg.T)
         worst_imag = max(worst_imag,
                          _check_realness(bd, failures, f"y={y!r}"))
         resid = abs(direct - bd.total)
@@ -611,7 +608,7 @@ def _run_weighted(cfg, zset, inputs):
         bd = explicit.weighted_average_rhs(sieve.KIND_LIOUVILLE, w, table,
                                            zs=zset, d=d,
                                            mode="explicit-formula",
-                                           T=cfg.T, workers=cfg.workers)
+                                           T=cfg.T)
         worst = _check_realness(bd, failures, "weighted run")
         resid = abs(direct - bd.total)
         for key, val in _breakdown_row(bd).items():
@@ -758,18 +755,7 @@ def _cmd_convolve(cfg):
 
 def _cmd_zeros_enrich(cfg):
     inputs = {}
-    try:
-        inputs[cfg.zeros] = _sha256_file(cfg.zeros)
-    except OSError as exc:
-        raise UsageError(f"cannot read zeros file {cfg.zeros}: {exc}")
-    ordinates = zeros.load_ordinates(cfg.zeros)
-    if cfg.count is not None:
-        if cfg.count > len(ordinates):
-            raise UsageError(
-                f"--count {cfg.count} exceeds ordinates available "
-                f"({len(ordinates)})")
-        ordinates = ordinates[:cfg.count]
-    zset = zeros.enrich(ordinates)
+    zset = _load_zeroset(cfg, inputs)
     out = cfg.output or "zeros-cache.npz"
     if out.endswith(".csv"):
         zeros.export_csv(zset, out)
@@ -851,7 +837,7 @@ def _add_common(sp, *names):
     flags = {
         "limit": (("--limit",), {"type": _parse_int,
                                  "help": "sieve/series length"}),
-        "zeros": (("--zeros",), {"help": "zero ordinates file or .npz cache"}),
+        "zeros": (("--zeros",), {"help": "zero ordinates file or cache"}),
         "count": (("--count",), {"type": _parse_int,
                                  "help": "number of zeros to keep"}),
         "T": (("--T",), {"type": _parse_float, "dest": "T",
@@ -870,8 +856,10 @@ def _add_common(sp, *names):
         "output": (("--output",), {"help": "report/artifact path"}),
         "format": (("--format",), {"choices": ("csv", "json"),
                                    "help": "report format"}),
-        "workers": (("--workers",), {"type": _parse_int,
-                                     "help": "worker pool size"}),
+        "workers": (("--workers",), {
+            "type": _parse_int,
+            "help": "recorded in the manifest; changes neither the "
+                    "results nor the speed"}),
         "config": (("--config",), {"help": "key=value defaults file"}),
     }
     for name in names:
@@ -886,14 +874,14 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("sieve", help="build and dump a sign table")
-    _add_common(sp, "limit", "output", "format", "workers", "config")
+    _add_common(sp, "limit", "output", "config")
 
     sp = sub.add_parser("convolve", help="build the d-fold series")
-    _add_common(sp, "limit", "d", "output", "format", "workers", "config")
+    _add_common(sp, "limit", "d", "output", "config")
 
     sp = sub.add_parser("zeros-enrich",
                         help="enrich zero ordinates and cache them")
-    _add_common(sp, "zeros", "count", "output", "format", "config")
+    _add_common(sp, "zeros", "count", "output", "config")
 
     sp = sub.add_parser("verify",
                         help="compare direct sums with truncated formulas")
@@ -902,7 +890,7 @@ def _build_parser():
                 "weight", "trials", "output", "format", "workers", "config")
 
     sp = sub.add_parser("bench", help="timing and cross-method checks")
-    _add_common(sp, "limit", "output", "format", "workers", "config")
+    _add_common(sp, "limit", "output", "format", "config")
     return parser
 
 

@@ -22,17 +22,24 @@ bound; same-sign terms decay only polynomially and are always
 evaluated.  pair_terms records how many (pair, pattern) values were
 actually evaluated after pruning.
 
+Every double sum has the shape
+
+    sum of c(z1) c(z2) Gamma(z1) Gamma(z2) / Gamma(z1 + z2 + shift) F(z1 + z2)
+
+over signed zeros z1, z2, with the formula's coefficient c, its Gamma
+shift, and a factor F that depends only on z1 + z2.  One engine,
+_pair_total, evaluates all of them; a formula supplies c, the shift,
+F and a bound on log |F|.
+
 Determinism.  Every sum is reduced in a fixed order (ascending gamma
 for singles, ascending gamma_i + gamma_j for pairs) through fixed
 64-term blocks: math.fsum inside a block, a fixed pairwise tree across
-blocks.  The worker count only decides who computes a block, never the
-reduction shape, so totals are bit-identical for any worker count.
+blocks, so the same inputs always give the same bits.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -70,8 +77,6 @@ ENV_EPS = 0.1
 _PAIR_CAP = 1 << 23
 _CHUNK = 1 << 18
 
-_LOG2 = math.log(2.0)
-
 
 # ---------------------------------------------------------------------------
 # deterministic reduction
@@ -90,13 +95,12 @@ def _fold_pairwise(partials):
     return ps[0]
 
 
-def blocked_sum(values, workers: int = 1):
-    """Compensated total of a 1-D array, independent of worker count.
+def blocked_sum(values):
+    """Compensated total of a 1-D array in a fixed reduction order.
 
     The array is cut into fixed blocks of 64 entries.  Each block is
     summed with math.fsum (exactly rounded over its terms); the block
-    partials are then folded by a fixed pairwise tree.  Workers only
-    split the block list, so any partitioning returns the same bits.
+    partials are then folded by a fixed pairwise tree.
 
     Returns a float for real input, a complex for complex input.
     """
@@ -106,28 +110,13 @@ def blocked_sum(values, workers: int = 1):
         return 0j if want_complex else 0.0
     arr = np.ascontiguousarray(
         arr, dtype=np.complex128 if want_complex else np.float64)
-    nblocks = -(-arr.size // BLOCK)
-    partials = [None] * nblocks
-
-    def run(lo, hi):
-        for blk in range(lo, hi):
-            seg = arr[blk * BLOCK:(blk + 1) * BLOCK]
-            if want_complex:
-                partials[blk] = complex(math.fsum(seg.real),
-                                        math.fsum(seg.imag))
-            else:
-                partials[blk] = math.fsum(seg)
-
-    workers = max(1, int(workers))
-    if workers == 1 or nblocks < 2 * workers:
-        run(0, nblocks)
-    else:
-        step = -(-nblocks // workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            jobs = [pool.submit(run, lo, min(lo + step, nblocks))
-                    for lo in range(0, nblocks, step)]
-            for job in jobs:
-                job.result()
+    partials = []
+    for lo in range(0, arr.size, BLOCK):
+        seg = arr[lo:lo + BLOCK]
+        if want_complex:
+            partials.append(complex(math.fsum(seg.real), math.fsum(seg.imag)))
+        else:
+            partials.append(math.fsum(seg))
     total = _fold_pairwise(partials)
     return complex(total) if want_complex else float(total)
 
@@ -199,24 +188,9 @@ def _assemble(main, single, double, T, used, pairs, envelope, realify):
         imag_residue=float(resid), envelope=float(envelope))
 
 
-def _single_total(plus_terms, minus_terms, workers):
+def _single_total(plus_terms, minus_terms):
     """Sum term(rho) + term(conj rho) per zero, ascending gamma."""
-    return complex(blocked_sum(plus_terms + minus_terms, workers=workers))
-
-
-def _log_cosh(t):
-    at = np.abs(t)
-    return at + np.log1p(np.exp(-2.0 * at)) - _LOG2
-
-
-def _log_gamma_abs_half(g):
-    """log |Gamma(1/2 + i g)| in closed form, safe for any ordinate."""
-    return 0.5 * (math.log(math.pi) - _log_cosh(math.pi * g))
-
-
-def _log_gamma_lower(x, y):
-    """log of the bound |Gamma(x+iy)| >= Gamma(x) sech(pi y)^(1/2), x >= 1/2."""
-    return math.lgamma(x) - 0.5 * _log_cosh(math.pi * y)
+    return complex(blocked_sum(plus_terms + minus_terms))
 
 
 def _rho(sign, g):
@@ -237,17 +211,39 @@ def _pair_layout(count):
     return np.triu_indices(count)
 
 
-def _pair_total(gammas, value_fn, logbound_fn, prune_log, hermitian,
-                workers):
-    """Evaluate a symmetric double sum over all zeros below the cut.
+def _log_kernel(gammas, s1, s2, ci, cj, shift):
+    """z = z1 + z2 and log Gamma(z1) + log Gamma(z2) - log Gamma(z + shift)
+    at z1 = 1/2 + s1*i*gamma[ci], z2 = 1/2 + s2*i*gamma[cj]."""
+    z1 = _rho(s1, gammas[ci])
+    z2 = _rho(s2, gammas[cj])
+    z = z1 + z2
+    return z, (specfun.log_gamma(z1) + specfun.log_gamma(z2)
+               - specfun.log_gamma(z + shift))
 
-    value_fn(s1, s2, ci, cj) returns the term at (z1, z2) with
-    z1 = 1/2 + s1*i*gamma[ci], z2 = 1/2 + s2*i*gamma[cj], vectorized
-    over the index slices.  logbound_fn(s1, s2, ci, cj) bounds
-    log |term| from above for the mixed patterns and is used only to
-    skip pairs whose mixed terms cannot matter.  hermitian means
-    term(conj z1, conj z2) == conj term(z1, z2), true whenever every
-    other parameter of the formula is real.
+
+def _pattern_terms(gammas, coeff, shift, factor, s1, s2, ci, cj):
+    """Pair terms of one sign pattern; c(conj rho) = conj c(rho)."""
+    c1 = coeff[ci] if s1 > 0 else np.conj(coeff[ci])
+    c2 = coeff[cj] if s2 > 0 else np.conj(coeff[cj])
+    return c1 * c2 * factor(*_log_kernel(gammas, s1, s2, ci, cj, shift))
+
+
+def _pair_total(gammas, coeff, shift, factor, log_factor_bound, parts,
+                hermitian):
+    """The double sum over all zeros below the cut.
+
+    Sums c(z1) c(z2) Gamma(z1) Gamma(z2) / Gamma(z1 + z2 + shift) F(z)
+    over z1 = 1/2 +- i gamma_i, z2 = 1/2 +- i gamma_j and z = z1 + z2.
+    coeff holds c(rho) per zero.  factor(z, log_kernel) returns
+    exp(log_kernel) F(z), where log_kernel is the log of the Gamma
+    ratio, so a power x^z can share its one exponential.
+    log_factor_bound(t) bounds log |F(z)| from above at Re z = 1,
+    Im z = t; with the closed-form size of the Gamma ratio it skips
+    mixed-sign pairs below PRUNE_EPS times the largest of 1 and the
+    magnitudes in parts (the formula's main and single terms).
+    hermitian means F(conj z) == conj F(z), true whenever every other
+    parameter of the formula is real; then only (+, +) and (+, -) are
+    evaluated and doubled in real part.
 
     Returns (total, evaluated_pattern_count).  Pairs are processed in
     ascending gamma_i + gamma_j order through fixed chunks, so the
@@ -262,6 +258,11 @@ def _pair_total(gammas, value_fn, logbound_fn, prune_log, hermitian,
     jj = np.ascontiguousarray(jj[order])
     weight = np.where(ii == jj, 1.0, 2.0)
     npairs = ii.size
+    scale = max([abs(complex(p)) for p in parts] + [1.0])
+    prune_log = math.log(PRUNE_EPS * scale)
+    logc = np.log(np.abs(coeff))
+    log_half = specfun.log_gamma_abs_half_line(gammas)
+    patterns = ((+1, -1),) if hermitian else ((+1, -1), (-1, +1))
 
     combined = np.empty(npairs, dtype=np.complex128)
     evaluated = 0
@@ -269,25 +270,31 @@ def _pair_total(gammas, value_fn, logbound_fn, prune_log, hermitian,
         hi = min(lo + _CHUNK, npairs)
         ci = ii[lo:hi]
         cj = jj[lo:hi]
-        vals = value_fn(+1, +1, ci, cj)
+        vals = _pattern_terms(gammas, coeff, shift, factor, +1, +1, ci, cj)
         evaluated += hi - lo
         if hermitian:
             vals = 2.0 * vals.real + 0j
         else:
-            vals = vals + value_fn(-1, -1, ci, cj)
+            vals = vals + _pattern_terms(gammas, coeff, shift, factor,
+                                         -1, -1, ci, cj)
             evaluated += hi - lo
-        patterns = ((+1, -1),) if hermitian else ((+1, -1), (-1, +1))
+        shared = logc[ci] + logc[cj] + log_half[ci] + log_half[cj]
         for s1, s2 in patterns:
-            keep = logbound_fn(s1, s2, ci, cj) >= prune_log
+            imag = s1 * gammas[ci] + s2 * gammas[cj]
+            bound = (shared
+                     - specfun.log_gamma_abs_lower_bound(1.0 + shift, imag)
+                     + log_factor_bound(imag))
+            keep = bound >= prune_log
             kept = int(np.count_nonzero(keep))
             if not kept:
                 continue
             part = np.zeros(hi - lo, dtype=np.complex128)
-            part[keep] = value_fn(s1, s2, ci[keep], cj[keep])
+            part[keep] = _pattern_terms(gammas, coeff, shift, factor,
+                                        s1, s2, ci[keep], cj[keep])
             vals = vals + (2.0 * part.real if hermitian else part)
             evaluated += kept
         combined[lo:hi] = vals
-    total = blocked_sum(weight * combined, workers=workers)
+    total = blocked_sum(weight * combined)
     return complex(total), evaluated
 
 
@@ -295,7 +302,7 @@ def _pair_total(gammas, value_fn, logbound_fn, prune_log, hermitian,
 # summatory functions
 
 
-def explicit_summatory(kind, x, zs, T=None, workers=1):
+def explicit_summatory(kind, x, zs, T=None):
     """Truncated explicit formula for the summatory function.
 
     liouville: L(x) = x^(1/2)/zeta(1/2) + 1
@@ -331,7 +338,7 @@ def explicit_summatory(kind, x, zs, T=None, workers=1):
         main = -2.0
         coeff = 1.0 / denom
     terms = coeff * np.exp(rhos * math.log(x))
-    single = _single_total(terms, np.conj(terms), workers)
+    single = _single_total(terms, np.conj(terms))
     envelope = 1.0 + x * (abs(math.log(x)) + 1.0) / T
     return _assemble(main, single, 0.0, T, used, 0, envelope, realify=True)
 
@@ -364,8 +371,7 @@ def summatory_remainder_bound(kind, x, T, eps=ENV_EPS):
 # Cesaro average of the pair convolution
 
 
-def explicit_cesaro(kind, x, zs, T=None, d=2, workers=1,
-                    extrapolated=False):
+def explicit_cesaro(kind, x, zs, T=None, d=2, extrapolated=False):
     """Truncated explicit formula for the weighted partial sum
     (1/(d-1)!) sum_{n <= x} S_d(n) (x - n)^(d-1).
 
@@ -408,32 +414,14 @@ def explicit_cesaro(kind, x, zs, T=None, d=2, workers=1,
             specfun.log_gamma(rhos)
             - specfun.log_gamma(rhos + (d + 0.5))
             + (rhos + (d - 0.5)) * lx)
-        single = _single_total(single_terms, np.conj(single_terms), workers)
+        single = _single_total(single_terms, np.conj(single_terms))
     else:
         main = 0.0
         single = 0j
         coeff = 1.0 / zs.zprimes[:used]
-    scale = max(abs(complex(main)), abs(single), 1.0)
-    prune_log = math.log(PRUNE_EPS * scale)
-    logc = np.log(np.abs(coeff))
-    log_half = _log_gamma_abs_half(gam)
-
-    def value(s1, s2, ci, cj):
-        z1 = _rho(s1, gam[ci])
-        z2 = _rho(s2, gam[cj])
-        c1 = coeff[ci] if s1 > 0 else np.conj(coeff[ci])
-        c2 = coeff[cj] if s2 > 0 else np.conj(coeff[cj])
-        return c1 * c2 * np.exp(
-            specfun.log_gamma(z1) + specfun.log_gamma(z2)
-            - specfun.log_gamma(z1 + z2 + d) + (z1 + z2 + (d - 1)) * lx)
-
-    def logbound(s1, s2, ci, cj):
-        return (logc[ci] + logc[cj] + log_half[ci] + log_half[cj]
-                - _log_gamma_lower(1.0 + d, s1 * gam[ci] + s2 * gam[cj])
-                + d * lx)
-
-    double, pairs = _pair_total(gam, value, logbound, prune_log,
-                                hermitian=True, workers=workers)
+    double, pairs = _pair_total(
+        gam, coeff, d, lambda z, lk: np.exp(lk + (z + (d - 1)) * lx),
+        lambda t: d * lx, (main, single), hermitian=True)
     if kind == KIND_LIOUVILLE:
         tail = x ** (d - 1)
     else:
@@ -492,7 +480,7 @@ def _pole_gaps(gam, s, singles):
     return math.hypot(1.0 - float(s.real), best)
 
 
-def dirichlet_explicit(kind, s, zs, T=None, workers=1):
+def dirichlet_explicit(kind, s, zs, T=None):
     """Zero expansion of the Dirichlet series of S(n), Re s > 1.
 
     liouville: s(s+1) pi / (8 zeta(1/2)^2 (1-s))
@@ -531,35 +519,16 @@ def dirichlet_explicit(kind, s, zs, T=None, workers=1):
         cpre = (math.sqrt(math.pi) / zh) * pref
         plus = cpre * coeff * gk / (rhos - s + 0.5)
         minus = cpre * np.conj(coeff * gk) / (np.conj(rhos) - s + 0.5)
-        single = _single_total(plus, minus, workers)
+        single = _single_total(plus, minus)
     else:
         main = 0j
         single = 0j
         coeff = 1.0 / zs.zprimes[:used]
-    scale = max(abs(complex(main)), abs(single), 1.0)
-    prune_log = math.log(PRUNE_EPS * scale)
-    logc = np.log(np.abs(coeff))
-    log_half = _log_gamma_abs_half(gam)
     log_pref = math.log(abs(pref))
-
-    def value(s1, s2, ci, cj):
-        z1 = _rho(s1, gam[ci])
-        z2 = _rho(s2, gam[cj])
-        c1 = coeff[ci] if s1 > 0 else np.conj(coeff[ci])
-        c2 = coeff[cj] if s2 > 0 else np.conj(coeff[cj])
-        return pref * c1 * c2 * np.exp(
-            specfun.log_gamma(z1) + specfun.log_gamma(z2)
-            - specfun.log_gamma(z1 + z2 + 2.0)) / (z1 + z2 - s)
-
-    def logbound(s1, s2, ci, cj):
-        imag = s1 * gam[ci] + s2 * gam[cj] - s.imag
-        denom = np.hypot(s.real - 1.0, imag)
-        return (logc[ci] + logc[cj] + log_half[ci] + log_half[cj]
-                - _log_gamma_lower(3.0, s1 * gam[ci] + s2 * gam[cj])
-                + log_pref - np.log(denom))
-
-    double, pairs = _pair_total(gam, value, logbound, prune_log,
-                                hermitian=realify, workers=workers)
+    double, pairs = _pair_total(
+        gam, coeff, 2.0, lambda z, lk: pref * np.exp(lk) / (z - s),
+        lambda t: log_pref - np.log(np.hypot(s.real - 1.0, t - s.imag)),
+        (main, single), hermitian=realify)
     envelope = abs(pref) / (s.real - 0.5 - ENV_EPS)
     return _assemble(main, single, double, T, used, pairs, envelope,
                      realify=realify)
@@ -588,7 +557,7 @@ def exponential_direct(series: ConvolutionSeries, y, N):
     return blocked_sum(series.values[1:N + 1] * np.exp(-y * n))
 
 
-def exponential_explicit(kind, y, zs, T=None, workers=1):
+def exponential_explicit(kind, y, zs, T=None):
     """Zero expansion of sum S(n) e^(-n y); the double sum factors.
 
     liouville: pi / (4 zeta(1/2)^2 y)
@@ -615,13 +584,11 @@ def exponential_explicit(kind, y, zs, T=None, workers=1):
         main = 0.0
         coeff = 1.0 / zs.zprimes[:used]
     lg = specfun.log_gamma(rhos)
-    inner = float(blocked_sum(
-        2.0 * (coeff * np.exp(lg - rhos * ly)).real, workers=workers))
+    inner = float(blocked_sum(2.0 * (coeff * np.exp(lg - rhos * ly)).real))
     if kind == KIND_LIOUVILLE:
         single = float(blocked_sum(
             2.0 * ((math.sqrt(math.pi) / specfun.zeta_half()) * coeff
-                   * np.exp(lg + (-rhos - 0.5) * ly)).real,
-            workers=workers))
+                   * np.exp(lg + (-rhos - 0.5) * ly)).real))
     else:
         single = 0.0
     double = inner * inner
@@ -634,7 +601,7 @@ def exponential_explicit(kind, y, zs, T=None, workers=1):
 # convergence diagnostic for the double series
 
 
-def double_series_diagnostic(zs, k, coeff_kind, K, workers=1):
+def double_series_diagnostic(zs, k, coeff_kind, K):
     """Absolute partial sums of the double zero series at shift 1 + k.
 
     A(K') sums |t(z1, z2)| over ordered pairs of signed zeros, z1 and z2
@@ -662,25 +629,18 @@ def double_series_diagnostic(zs, k, coeff_kind, K, workers=1):
     else:
         cabs = np.abs(1.0 / zs.zprimes[:K])
     shift = 1.0 + k
-    out = []
-    for cut in (max(1, K // 8), max(1, K // 4), max(1, K // 2), K):
-        g = gam[:cut]
-        c = cabs[:cut]
-        ii, jj = _pair_layout(cut)
-        weight = np.full(ii.shape, 2.0)
-        rows = []
-        for lo in range(0, ii.size, _CHUNK):
-            hi = min(lo + _CHUNK, ii.size)
-            z1 = _rho(+1, g[ii[lo:hi]])
-            z2 = _rho(+1, g[jj[lo:hi]])
-            lg12 = specfun.log_gamma(z1).real + specfun.log_gamma(z2).real
-            mag_pp = np.exp(lg12 - specfun.log_gamma(z1 + z2 + shift).real)
-            mag_pm = np.exp(
-                lg12 - specfun.log_gamma(z1 + np.conj(z2) + shift).real)
-            cc = c[ii[lo:hi]] * c[jj[lo:hi]]
-            rows.append(weight[lo:hi] * cc * (mag_pp + mag_pm))
-        out.append(float(blocked_sum(np.concatenate(rows), workers=workers)))
-    return out
+    # row-major i <= j, so the pairs below a cut K' are those with
+    # j < K', in the order the K'-zero layout would list them
+    ii, jj = _pair_layout(K)
+    terms = np.empty(ii.size)
+    for lo in range(0, ii.size, _CHUNK):
+        ci = ii[lo:lo + _CHUNK]
+        cj = jj[lo:lo + _CHUNK]
+        mag_pp = np.exp(_log_kernel(gam, +1, +1, ci, cj, shift)[1].real)
+        mag_pm = np.exp(_log_kernel(gam, +1, -1, ci, cj, shift)[1].real)
+        terms[lo:lo + _CHUNK] = 2.0 * (cabs[ci] * cabs[cj]) * (mag_pp + mag_pm)
+    return [float(blocked_sum(terms[jj < cut]))
+            for cut in (max(1, K // 8), max(1, K // 4), max(1, K // 2), K)]
 
 
 # ---------------------------------------------------------------------------
@@ -965,7 +925,7 @@ def _identity_rhs(kind, w: WeightSpec, table: SieveTable, d):
 
 
 def weighted_average_rhs(kind, w: WeightSpec, table: SieveTable, zs=None,
-                         d=2, mode="exact-identity", T=None, workers=1):
+                         d=2, mode="exact-identity", T=None):
     """Right-hand side of the weighted-average identity, two routes.
 
     mode="exact-identity" returns a float: the boundary term plus
@@ -1015,7 +975,7 @@ def weighted_average_rhs(kind, w: WeightSpec, table: SieveTable, zs=None,
             - specfun.log_gamma(rhos + (d + 0.5))
             + (rhos + (d - 1.5)) * leta) \
             * _moment_integral(w, rhos + (d - 1.5))
-        single = _single_total(plus, np.conj(plus), workers)
+        single = _single_total(plus, np.conj(plus))
     else:
         main = 0j
         single = 0j
@@ -1030,32 +990,14 @@ def weighted_average_rhs(kind, w: WeightSpec, table: SieveTable, zs=None,
         p2 = _series_for(kind, table, d, top)
         main = complex(main) + _boundary_term(w, p1, p2)
 
-    scale = max(abs(complex(main)), abs(single), 1.0)
-    prune_log = math.log(PRUNE_EPS * scale)
-    logc = np.log(np.abs(coeff))
-    log_half = _log_gamma_abs_half(gam)
+    # |I(z + d - 2)| <= int |f''| w^d on Re z = 1
     mixed_abs = _abs_moment(w, float(d))
     log_mom = math.log(mixed_abs) if mixed_abs > 0.0 else -math.inf
-
-    def value(s1, s2, ci, cj):
-        z1 = _rho(s1, gam[ci])
-        z2 = _rho(s2, gam[cj])
-        c1 = coeff[ci] if s1 > 0 else np.conj(coeff[ci])
-        c2 = coeff[cj] if s2 > 0 else np.conj(coeff[cj])
-        core = c1 * c2 * np.exp(
-            specfun.log_gamma(z1) + specfun.log_gamma(z2)
-            - specfun.log_gamma(z1 + z2 + 2.0)
-            + (z1 + z2 + (d - 2)) * leta)
-        return core * _moment_integral(w, z1 + z2 + (d - 2.0))
-
-    def logbound(s1, s2, ci, cj):
-        # |I(z)| <= int |f''| w^(Re z + 1) with Re z = d - 1 here
-        return (logc[ci] + logc[cj] + log_half[ci] + log_half[cj]
-                - _log_gamma_lower(3.0, s1 * gam[ci] + s2 * gam[cj])
-                + (d - 2) * leta + log_mom)
-
-    double, pairs = _pair_total(gam, value, logbound, prune_log,
-                                hermitian=True, workers=workers)
+    double, pairs = _pair_total(
+        gam, coeff, 2.0,
+        lambda z, lk: np.exp(lk + (z + (d - 2)) * leta)
+        * _moment_integral(w, z + (d - 2.0)),
+        lambda t: (d - 2) * leta + log_mom, (main, single), hermitian=True)
     envelope = (w.eta ** (d - 1.5 + ENV_EPS)
                 * _abs_moment(w, d - 0.5 + ENV_EPS)
                 + w.eta ** (d - 2) * _abs_moment(w, float(d - 1)))

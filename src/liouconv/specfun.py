@@ -21,13 +21,11 @@ from scipy.special import zeta as _real_zeta
 
 __all__ = [
     "log_gamma",
-    "gamma_ratio",
     "zeta",
     "zeta_derivative",
     "zeta_half",
-    "gamma_abs_half_line",
-    "gamma_abs_lower_bound",
-    "stirling_gamma_abs",
+    "log_gamma_abs_half_line",
+    "log_gamma_abs_lower_bound",
 ]
 
 # Correction depth for Euler-Maclaurin.  With the main-sum cutoff chosen so
@@ -71,33 +69,6 @@ def log_gamma(z):
     if np.any(arr.real <= 0.0):
         raise ValueError("log_gamma: Re z <= 0 is outside the supported domain")
     return _unwrap(_scipy_loggamma(arr), scalar)
-
-
-def gamma_ratio(r1, r2, shift):
-    """Gamma(r1) Gamma(r2) / Gamma(r1 + r2 + shift), assembled in log space.
-
-    The direct ratio underflows catastrophically for |Im| beyond ~30, so the
-    three log-gamma values are combined first and exponentiated once.
-
-    Args:
-        r1, r2: complex, Re > 0.
-        r2: see r1; broadcasting against r1 is allowed.
-        shift: real shift >= 1 applied inside the denominator Gamma.
-
-    Returns:
-        The ratio as a complex value (or array under broadcasting).
-    """
-    a1, s1 = _as_complex_array(r1, "gamma_ratio")
-    a2, s2 = _as_complex_array(r2, "gamma_ratio")
-    if np.any(a1.real <= 0.0) or np.any(a2.real <= 0.0):
-        raise ValueError("gamma_ratio: Re r1 and Re r2 must be positive")
-    shift = float(shift)
-    if not math.isfinite(shift) or shift < 1.0:
-        raise ValueError("gamma_ratio: shift must be a finite real >= 1")
-    out = np.exp(
-        _scipy_loggamma(a1) + _scipy_loggamma(a2) - _scipy_loggamma(a1 + a2 + shift)
-    )
-    return _unwrap(np.asarray(out), s1 and s2)
 
 
 def _em_cutoff(tmax: float, correction_terms: int) -> int:
@@ -213,31 +184,18 @@ def zeta_half() -> float:
     return _ZETA_HALF.real
 
 
-def gamma_abs_half_line(y):
-    """|Gamma(1/2 + i y)| from the closed form pi / cosh(pi y), exact.
-
-    Stays finite for all float y: sqrt(pi/cosh) is evaluated through
-    logs so cosh overflow at |y| > ~350 is not an issue.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    # log cosh(pi y) = pi|y| + log((1 + exp(-2 pi |y|))/2)
+def _log_cosh_pi(y):
+    """log cosh(pi y) = pi|y| + log((1 + exp(-2 pi |y|))/2), for any y."""
     ay = np.abs(y) * np.pi
-    log_cosh = ay + np.log1p(np.exp(-2.0 * ay)) - math.log(2.0)
-    out = np.exp(0.5 * (math.log(math.pi) - log_cosh))
-    return float(out[()]) if out.ndim == 0 else out
+    return ay + np.log1p(np.exp(-2.0 * ay)) - math.log(2.0)
 
 
-def gamma_abs_lower_bound(x: float, y) -> np.ndarray:
-    """Lower bound |Gamma(x+iy)| >= Gamma(x) sech(pi y)^(1/2), log-safe."""
-    y = np.asarray(y, dtype=np.float64)
-    ay = np.abs(y) * np.pi
-    log_sech = -(ay + np.log1p(np.exp(-2.0 * ay)) - math.log(2.0))
-    out = np.exp(math.lgamma(x) + 0.5 * log_sech)
-    return float(out[()]) if out.ndim == 0 else out
+def log_gamma_abs_half_line(y):
+    """log |Gamma(1/2 + i y)| from the closed form pi / cosh(pi y), exact."""
+    return 0.5 * (math.log(math.pi) - _log_cosh_pi(y))
 
 
-def stirling_gamma_abs(x: float, y: float) -> float:
-    """Stirling-scale estimate sqrt(2 pi) e^(-pi|y|/2) |y|^(x-1/2)."""
-    return math.exp(0.5 * math.log(2.0 * math.pi)
-                    - 0.5 * math.pi * abs(y)
-                    + (x - 0.5) * math.log(abs(y)))
+def log_gamma_abs_lower_bound(x: float, y):
+    """Lower bound on log |Gamma(x + i y)| for x >= 1/2, from
+    |Gamma(x + i y)| >= Gamma(x) sech(pi y)^(1/2)."""
+    return math.lgamma(x) - 0.5 * _log_cosh_pi(y)

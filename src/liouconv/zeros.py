@@ -27,6 +27,7 @@ __all__ = [
     "enrich",
     "save_cache",
     "load_cache",
+    "is_cache",
     "cache_roundtrip",
     "sz_diagnostic",
     "counting_sanity",
@@ -216,6 +217,12 @@ def load_cache(path) -> ZeroSet:
     off += 16 * count
     z2 = np.frombuffer(body, dtype=np.complex128, count=count, offset=off).copy()
     return ZeroSet(gammas=g, zprimes=zp, z2rhos=z2, residual_tol=tol)
+
+
+def is_cache(path) -> bool:
+    """Whether the file starts with the zero-cache magic bytes."""
+    with open(path, "rb") as fh:
+        return fh.read(len(_CACHE_MAGIC)) == _CACHE_MAGIC
 
 
 def cache_roundtrip(zset: ZeroSet, path) -> ZeroSet:

@@ -196,7 +196,7 @@ def test_criterion_08_cesaro_formula_scale(criterion, zs1000):
         ratios = []
         for x in (1e3, 1e4, 1e5, 1e6):
             direct = convolve.cesaro_sum(series, x)
-            bd = explicit.explicit_cesaro(kind, x, zs1000, d=2, workers=4)
+            bd = explicit.explicit_cesaro(kind, x, zs1000, d=2)
             ratios.append(abs(direct - bd.total) / x ** 1.5)
         kind_ok = max(ratios) <= 50.0
         detail.append(f"{kind} max |gap|/x^1.5 = {max(ratios):.2f}")

@@ -44,6 +44,17 @@ def test_usage_errors_exit_2(tmp_path, cache80):
     assert cli.main(["verify", "identity", "--config", str(bad)]) == 2
 
 
+def test_subcommands_reject_flags_they_do_not_use():
+    for command, flag in (("sieve", "--workers=2"),
+                          ("convolve", "--workers=2"),
+                          ("bench", "--workers=2"), ("sieve", "--format=csv"),
+                          ("convolve", "--format=csv"),
+                          ("zeros-enrich", "--format=csv")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--output", "unused", flag])
+        assert exc.value.code == 2
+
+
 def test_sample_and_value_parsers():
     assert cli._parse_samples("log:5:10:100") == ("log", 5, 10.0, 100.0)
     assert cli._parse_samples("linear:3:0:9") == ("linear", 3, 0.0, 9.0)
@@ -125,6 +136,22 @@ def test_zeros_enrich_and_reuse(tmp_path):
     assert cli.main(["verify", "L", "--limit", "500", "--zeros", str(cache),
                      "--samples", "linear:3:50:500",
                      "--output", str(report)]) == 0
+
+
+@pytest.mark.parametrize("name", ["ords.npz", "z30.bin"])
+def test_zeros_routed_by_content(tmp_path, name):
+    """--zeros reads a cache by its magic bytes, whatever the suffix."""
+    ords = zeros.bundled_ordinates(30)
+    source = tmp_path / name
+    if name == "ords.npz":
+        source.write_text("".join(f"{g:.13f}\n" for g in ords))
+    else:
+        zeros.save_cache(zeros.enrich(ords), source)
+    report = tmp_path / "L.csv"
+    assert cli.main(["verify", "L", "--limit", "500", "--zeros", str(source),
+                     "--count", "20", "--samples", "linear:3:50:500",
+                     "--output", str(report)]) == 0
+    assert report.read_text().splitlines()[1].split(",")[-2] == "20"
 
 
 def test_config_file_precedence(tmp_path, cache80):

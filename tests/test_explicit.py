@@ -46,13 +46,6 @@ def test_blocked_sum_complex(rng):
     assert abs(got.imag - math.fsum(vals.imag)) <= 1e-13 * mass
 
 
-def test_blocked_sum_worker_invariance(rng):
-    vals = rng.normal(0.0, 1.0, 10_001) * 10.0 ** rng.integers(-6, 6, 10_001)
-    base = explicit.blocked_sum(vals, workers=1)
-    for workers in (2, 3, 8):
-        assert explicit.blocked_sum(vals, workers=workers) == base
-
-
 # ---------------------------------------------------------------------------
 # summatory formulas
 
@@ -129,23 +122,84 @@ def test_cesaro_main_term_closed_form(zs1000):
     assert bd.total == bd.main_term + bd.single_sum + bd.double_sum
 
 
+def _brute_pair_terms(zsub, coeff, shift, factor):
+    """c1 c2 Gamma(z1) Gamma(z2) / Gamma(z1 + z2 + shift) * factor(z1 + z2)
+    over every ordered pair of zeros and all four sign patterns."""
+    terms = []
+    for i, j in product(range(len(zsub)), repeat=2):
+        for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            z1 = 0.5 + s1 * 1j * zsub.gammas[i]
+            z2 = 0.5 + s2 * 1j * zsub.gammas[j]
+            c1 = coeff[i] if s1 > 0 else np.conj(coeff[i])
+            c2 = coeff[j] if s2 > 0 else np.conj(coeff[j])
+            terms.append(complex(c1 * c2 * factor(z1 + z2) * np.exp(
+                loggamma(z1) + loggamma(z2) - loggamma(z1 + z2 + shift))))
+    return terms
+
+
+def test_pair_term_against_mpmath(rng):
+    """One engine term c1 c2 Gamma(z1) Gamma(z2) / Gamma(z1 + z2 + shift)."""
+    gammas = np.sort(rng.uniform(14.0, 80.0, 20))
+    coeff = rng.normal(size=20) + 1j * rng.normal(size=20)
+    for _ in range(20):
+        i, j = (int(v) for v in rng.integers(0, 20, 2))
+        s1, s2 = (int(v) for v in rng.choice((-1, 1), 2))
+        shift = float(rng.uniform(1.0, 4.0))
+        got = explicit._pattern_terms(
+            gammas, coeff, shift, lambda z, lk: np.exp(lk), s1, s2,
+            np.array([i]), np.array([j]))[0]
+        z1 = mpmath.mpc(0.5, s1 * gammas[i])
+        z2 = mpmath.mpc(0.5, s2 * gammas[j])
+        c1 = coeff[i] if s1 > 0 else np.conj(coeff[i])
+        c2 = coeff[j] if s2 > 0 else np.conj(coeff[j])
+        want = complex(c1 * c2) * complex(mpmath.gamma(z1) * mpmath.gamma(z2)
+                                          / mpmath.gamma(z1 + z2 + shift))
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-300)
+
+
 def test_cesaro_double_sum_brute(zs1000):
     """All four conjugate sign patterns, summed the slow way."""
     x = 900.0
     zsub = zeros.truncate(zs1000, count=12)
     bd = explicit.explicit_cesaro(sieve.KIND_LIOUVILLE, x, zsub, d=2)
     coeff = zsub.z2rhos / zsub.zprimes
-    terms = []
-    for i, j in product(range(12), repeat=2):
-        for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            z1 = 0.5 + s1 * 1j * zsub.gammas[i]
-            z2 = 0.5 + s2 * 1j * zsub.gammas[j]
-            c1 = coeff[i] if s1 > 0 else np.conj(coeff[i])
-            c2 = coeff[j] if s2 > 0 else np.conj(coeff[j])
-            val = c1 * c2 * np.exp(
-                loggamma(z1) + loggamma(z2) - loggamma(z1 + z2 + 2.0)
-                + (z1 + z2 + 1.0) * math.log(x))
-            terms.append(complex(val))
+    terms = _brute_pair_terms(zsub, coeff, 2.0,
+                              lambda z: np.exp((z + 1.0) * math.log(x)))
+    brute = math.fsum(t.real for t in terms)
+    assert bd.double_sum == pytest.approx(brute, rel=1e-10)
+
+
+@pytest.mark.parametrize("kind", [sieve.KIND_LIOUVILLE, sieve.KIND_MOEBIUS])
+def test_dirichlet_complex_s_double_sum_brute(zs1000, kind):
+    """Off the real axis the two mixed patterns are pruned separately."""
+    s = 3.0 + 1.0j
+    zsub = zeros.truncate(zs1000, count=12)
+    bd = explicit.dirichlet_explicit(kind, s, zsub)
+    if kind == sieve.KIND_LIOUVILLE:
+        coeff = zsub.z2rhos / zsub.zprimes
+    else:
+        coeff = 1.0 / zsub.zprimes
+    pref = s * (s + 1.0)
+    terms = _brute_pair_terms(zsub, coeff, 2.0, lambda z: pref / (z - s))
+    brute = complex(math.fsum(t.real for t in terms),
+                    math.fsum(t.imag for t in terms))
+    assert bd.double_sum == pytest.approx(brute, rel=1e-10)
+    assert bd.pair_terms > 2 * 78
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_weighted_explicit_double_sum_brute(lio_10k, zs1000, d):
+    zsub = zeros.truncate(zs1000, count=12)
+    w = explicit.make_polynomial_weight(0.5, 3.0, 50.0, power=3)
+    bd = explicit.weighted_average_rhs(sieve.KIND_LIOUVILLE, w, lio_10k,
+                                       zs=zsub, d=d, mode="explicit-formula")
+    coeff = zsub.z2rhos / zsub.zprimes
+
+    def factor(z):
+        e = z + (d - 2.0)
+        return w.eta ** e * complex(w.moments(np.array([e]))[0])
+
+    terms = _brute_pair_terms(zsub, coeff, 2.0, factor)
     brute = math.fsum(t.real for t in terms)
     assert bd.double_sum == pytest.approx(brute, rel=1e-10)
 
@@ -170,17 +224,6 @@ def test_cesaro_extrapolation_flag(zs1000):
     bd = explicit.explicit_cesaro(sieve.KIND_MOEBIUS, 500.0, zs1000, d=3,
                                   extrapolated=True)
     assert math.isfinite(bd.total)
-
-
-def test_cesaro_worker_determinism(zs1000):
-    zsub = zeros.truncate(zs1000, count=300)
-    base = explicit.explicit_cesaro(sieve.KIND_LIOUVILLE, 3000.0, zsub, d=2,
-                                    workers=1)
-    for workers in (2, 4):
-        again = explicit.explicit_cesaro(sieve.KIND_LIOUVILLE, 3000.0, zsub,
-                                         d=2, workers=workers)
-        assert again.total == base.total
-        assert again.double_sum == base.double_sum
 
 
 # ---------------------------------------------------------------------------

@@ -33,40 +33,22 @@ def test_log_gamma_rejects_left_half_plane():
         specfun.log_gamma(complex("inf"))
 
 
-def test_gamma_ratio_against_logs(rng):
-    for _ in range(20):
-        r1 = complex(rng.uniform(0.3, 3.0), rng.uniform(-80.0, 80.0))
-        r2 = complex(rng.uniform(0.3, 3.0), rng.uniform(-80.0, 80.0))
-        shift = float(rng.uniform(1.0, 4.0))
-        got = specfun.gamma_ratio(r1, r2, shift)
-        want = complex(mpmath.gamma(r1) * mpmath.gamma(r2)
-                       / mpmath.gamma(r1 + r2 + shift))
-        assert got == pytest.approx(want, rel=1e-10, abs=1e-300)
-
-
 def test_gamma_abs_half_line_matches_log_gamma():
     # the closed form pi/cosh(pi y) against the scipy log-gamma route;
     # two independent evaluations of the same magnitude
     for y in (0.0, 1.0, 14.134725141734695, 50.0, 200.0):
-        closed = specfun.gamma_abs_half_line(y)
-        via_log = math.exp(specfun.log_gamma(0.5 + 1j * y).real)
-        assert closed == pytest.approx(via_log, rel=1e-12)
+        closed = specfun.log_gamma_abs_half_line(y)
+        via_log = specfun.log_gamma(0.5 + 1j * y).real
+        assert closed == pytest.approx(via_log, rel=0.0, abs=1e-12)
 
 
 def test_gamma_abs_lower_bound_holds(rng):
     for _ in range(25):
         x = float(rng.uniform(0.5, 4.0))
         y = float(rng.uniform(-60.0, 60.0))
-        bound = specfun.gamma_abs_lower_bound(x, y)
-        actual = math.exp(specfun.log_gamma(complex(x, y)).real)
-        assert bound <= actual * (1.0 + 1e-12)
-
-
-def test_stirling_estimate_tracks_gamma():
-    for y in (20.0, 60.0, 150.0):
-        est = specfun.stirling_gamma_abs(0.5, y)
-        actual = math.exp(specfun.log_gamma(0.5 + 1j * y).real)
-        assert 0.5 < est / actual < 2.0
+        bound = specfun.log_gamma_abs_lower_bound(x, y)
+        actual = specfun.log_gamma(complex(x, y)).real
+        assert bound <= actual + 1e-12
 
 
 def test_zeta_known_values():
