@@ -9,17 +9,20 @@ Five subcommands:
   bench         wall-time comparisons and a cross-method hash check
 
 ``verify`` takes one of nine targets: L, M, cesaro, cesaro-mu, dfold,
-dirichlet, exponential, weighted, identity.  Each run writes a report
-(CSV by default, JSON with --format json) with one row per sample
-point and a summary block, plus a manifest next to it recording the
-effective configuration, library versions, input checksums, and the
-report's SHA-256.  Reports carry no timestamps and every float is
-written with shortest-roundtrip repr, so the same inputs produce byte
-identical reports.
+dirichlet, exponential, weighted, identity.  The ``_VERIFY`` table maps
+each target to its runner and whether it needs ``--zeros``; the L, M,
+Cesaro and exponential runners share one per-point loop, ``_sweep``.
+Each run writes a report (CSV by default, JSON with --format json)
+with one row per sample point and a summary block, plus a manifest
+next to it recording the effective configuration, library versions,
+input checksums, and the report's SHA-256.  Reports carry no
+timestamps and every float is written with shortest-roundtrip repr,
+so the same inputs produce byte identical reports.
 
-Configuration precedence is flags, then ``--config`` key=value file,
-then built-in defaults.  Exit codes: 0 success, 1 hard invariant
-violation, 2 usage or input error.
+Each row of ``_OPTIONS`` is both a flag and a ``--config`` key=value
+key.  Precedence is flags, then the config file, then built-in
+defaults.  ``main`` returns the exit code, argparse's included:
+0 success, 1 hard invariant violation, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -37,12 +40,8 @@ import numpy as np
 
 from . import convolve, explicit, sieve, specfun, zeros
 
-__all__ = ["RunConfig", "UsageError", "InvariantFailure", "main"]
+__all__ = ["RunConfig", "UsageError", "main"]
 
-_VERIFY_TARGETS = ("L", "M", "cesaro", "cesaro-mu", "dfold", "dirichlet",
-                   "exponential", "weighted", "identity")
-_NEED_ZEROS = {"L", "M", "cesaro", "cesaro-mu", "dfold", "dirichlet",
-               "exponential"}
 _IDENTITY_SEED = 0x5eed
 _REL_IDENTITY_TOL = 1e-8
 _IMAG_TOL = 1e-8
@@ -50,10 +49,6 @@ _IMAG_TOL = 1e-8
 
 class UsageError(Exception):
     """Bad flags, bad config values, or unusable inputs; exit code 2."""
-
-
-class InvariantFailure(Exception):
-    """A hard mathematical or reproducibility invariant broke; exit 1."""
 
 
 # ---------------------------------------------------------------------------
@@ -136,20 +131,22 @@ def _parse_weight(text):
     return (a, b, eta, power)
 
 
-_PARSERS = {
-    "limit": _parse_int,
-    "zeros": str,
-    "count": _parse_int,
-    "T": _parse_float,
-    "d": _parse_int,
-    "s": _parse_complex,
-    "y": _parse_ys,
-    "samples": _parse_samples,
-    "weight": _parse_weight,
-    "trials": _parse_int,
-    "output": str,
-    "format": str,
-    "workers": _parse_int,
+# key -> (parser, help); each key is a flag and a config-file key
+_OPTIONS = {
+    "limit": (_parse_int, "sieve/series length"),
+    "zeros": (str, "zero ordinates file or cache"),
+    "count": (_parse_int, "number of zeros to keep"),
+    "T": (_parse_float, "ordinate cutoff for the zero sums"),
+    "d": (_parse_int, "convolution order"),
+    "s": (_parse_complex, "complex point 're,im'"),
+    "y": (_parse_ys, "comma separated decay parameters"),
+    "samples": (_parse_samples, "grid spec kind:count:lo:hi"),
+    "weight": (_parse_weight, "weight spec a:b:eta[:power]"),
+    "trials": (_parse_int, "randomized trial count"),
+    "output": (str, "report/artifact path"),
+    "format": (str, "report format, csv or json"),
+    "workers": (_parse_int, "recorded in the manifest; changes neither "
+                            "the results nor the speed"),
 }
 
 
@@ -189,9 +186,9 @@ def _read_config_file(path):
             raise UsageError(f"{path}:{ln}: expected key=value")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _PARSERS:
+        if key not in _OPTIONS:
             raise UsageError(f"{path}:{ln}: unknown key {key!r}")
-        out[key] = _PARSERS[key](value.strip())
+        out[key] = _OPTIONS[key][0](value.strip())
     return out
 
 
@@ -200,7 +197,7 @@ def _make_config(args):
     file_cfg = _read_config_file(args.config) if getattr(
         args, "config", None) else {}
     merged = {}
-    for key in _PARSERS:
+    for key in _OPTIONS:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
@@ -211,9 +208,6 @@ def _make_config(args):
     fmt = merged.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise UsageError(f"--format must be csv or json, got {fmt!r}")
-    merged["format"] = fmt
-    merged.setdefault("trials", 20)
-    merged.setdefault("workers", 1)
     cfg = RunConfig(command=args.command,
                     target=getattr(args, "target", None), **merged)
     _validate(cfg)
@@ -243,7 +237,7 @@ def _validate(cfg):
     if cfg.command != "verify":
         return
     target = cfg.target
-    if target in _NEED_ZEROS and cfg.zeros is None:
+    if _VERIFY[target][1] and cfg.zeros is None:
         raise UsageError(f"verify {target} needs --zeros")
     if target == "dirichlet":
         if cfg.s is None:
@@ -393,9 +387,8 @@ def _write_manifest(cfg, report_path, inputs, results=None):
         doc["versions"]["scipy"] = scipy.__version__
     except ImportError:
         pass
-    if report_path is not None:
-        doc["report"] = {"path": str(report_path),
-                         "sha256": _sha256_file(report_path)}
+    doc["report"] = {"path": str(report_path),
+                     "sha256": _sha256_file(report_path)}
     if results is not None:
         doc["results"] = results
     path = str(report_path) + ".manifest.json"
@@ -413,22 +406,8 @@ def _package_version():
         return "unknown"
 
 
-def _breakdown_row(bd):
-    return {
-        "main_term": bd.main_term,
-        "single_sum": bd.single_sum,
-        "double_sum": bd.double_sum,
-        "total": bd.total,
-        "envelope": bd.envelope,
-        "truncation_T": bd.truncation_T,
-        "zeros_used": bd.zeros_used,
-        "pair_terms": bd.pair_terms,
-    }
-
-
 def _check_realness(bd, failures, where):
-    total = bd.total
-    scale = 1.0 + (abs(total) if isinstance(total, float) else abs(total))
+    scale = 1.0 + abs(bd.total)
     if bd.imag_residue >= _IMAG_TOL * scale:
         failures.append(
             f"imaginary residue {bd.imag_residue:.3e} at {where} exceeds "
@@ -440,71 +419,59 @@ def _check_realness(bd, failures, where):
 # verify targets
 
 
-def _run_summatory(cfg, zset, inputs):
+_SWEEP_COLUMNS = ("direct", "main_term", "single_sum", "double_sum", "total",
+                  "residual", "envelope", "truncation_T", "zeros_used",
+                  "pair_terms")
+
+
+def _sweep(axis, points, direct, formula, columns):
+    """One row per point: the direct value, the formula's breakdown and
+    their residual, with the realness check on every breakdown.
+
+    A column that is neither the axis, ``direct``, ``residual`` nor a
+    breakdown field is left as None for the caller to fill.
+    """
+    cols = {k: [] for k in (axis,) + columns}
+    failures = []
+    worst_imag = 0.0
+    for p in points:
+        p = float(p)
+        value = direct(p)
+        bd = formula(p)
+        worst_imag = max(worst_imag,
+                         _check_realness(bd, failures, f"{axis}={p!r}"))
+        row = {axis: p, "direct": value, "residual": abs(value - bd.total)}
+        for key, col in cols.items():
+            col.append(row[key] if key in row else getattr(bd, key, None))
+    return cols, _residual_summary(cols, worst_imag), failures
+
+
+def _run_summatory(cfg, zset):
     kind = sieve.KIND_LIOUVILLE if cfg.target == "L" else sieve.KIND_MOEBIUS
     limit = cfg.limit or 10000
     table = sieve.build_sieve(kind, limit)
     grid = _sample_grid(cfg.samples or _default_samples(cfg.target, limit))
-    cols = {k: [] for k in ("x", "direct", "main_term", "single_sum",
-                            "double_sum", "total", "residual", "envelope",
-                            "truncation_T", "zeros_used", "pair_terms")}
-    failures = []
-    residuals = []
-    worst_imag = 0.0
-    for x in grid:
-        x = float(x)
-        direct = sieve.summatory(table, x)
-        bd = explicit.explicit_summatory(kind, x, zset, T=cfg.T)
-        worst_imag = max(worst_imag,
-                         _check_realness(bd, failures, f"x={x!r}"))
-        resid = abs(direct - bd.total)
-        residuals.append(resid)
-        cols["x"].append(x)
-        cols["direct"].append(direct)
-        for key, val in _breakdown_row(bd).items():
-            cols[key].append(val)
-        cols["residual"].append(resid)
-    summary = _residual_summary(residuals, cols, worst_imag)
-    return cols, summary, failures
+    return _sweep(
+        "x", grid, lambda x: sieve.summatory(table, x),
+        lambda x: explicit.explicit_summatory(kind, x, zset, T=cfg.T),
+        _SWEEP_COLUMNS)
 
 
-def _run_cesaro(cfg, zset, inputs):
-    if cfg.target == "cesaro":
-        kind, d = sieve.KIND_LIOUVILLE, 2
-    elif cfg.target == "cesaro-mu":
-        kind, d = sieve.KIND_MOEBIUS, 2
-    else:
-        kind, d = sieve.KIND_LIOUVILLE, (cfg.d or 3)
+def _run_cesaro(cfg, zset):
+    kind = (sieve.KIND_MOEBIUS if cfg.target == "cesaro-mu"
+            else sieve.KIND_LIOUVILLE)
+    d = (cfg.d or 3) if cfg.target == "dfold" else 2
     limit = cfg.limit or 10000
     table = sieve.build_sieve(kind, limit)
     series = convolve.convolve_fft(table, d, limit)
     grid = _sample_grid(cfg.samples or _default_samples(cfg.target, limit))
-    extrapolated = kind == sieve.KIND_MOEBIUS and d != 2
-    cols = {k: [] for k in ("x", "direct", "main_term", "single_sum",
-                            "double_sum", "total", "residual", "envelope",
-                            "truncation_T", "zeros_used", "pair_terms")}
-    failures = []
-    residuals = []
-    worst_imag = 0.0
-    for x in grid:
-        x = float(x)
-        direct = convolve.cesaro_sum(series, x)
-        bd = explicit.explicit_cesaro(kind, x, zset, T=cfg.T, d=d,
-                                      extrapolated=extrapolated)
-        worst_imag = max(worst_imag,
-                         _check_realness(bd, failures, f"x={x!r}"))
-        resid = abs(direct - bd.total)
-        residuals.append(resid)
-        cols["x"].append(x)
-        cols["direct"].append(direct)
-        for key, val in _breakdown_row(bd).items():
-            cols[key].append(val)
-        cols["residual"].append(resid)
-    summary = _residual_summary(residuals, cols, worst_imag)
-    return cols, summary, failures
+    return _sweep(
+        "x", grid, lambda x: convolve.cesaro_sum(series, x),
+        lambda x: explicit.explicit_cesaro(kind, x, zset, T=cfg.T, d=d),
+        _SWEEP_COLUMNS)
 
 
-def _run_dirichlet(cfg, zset, inputs):
+def _run_dirichlet(cfg, zset):
     limit = cfg.limit or 10000
     table = sieve.build_sieve(sieve.KIND_LIOUVILLE, limit)
     series = convolve.convolve_fft(table, 2, limit)
@@ -539,46 +506,29 @@ def _run_dirichlet(cfg, zset, inputs):
     return cols, summary, failures
 
 
-def _run_exponential(cfg, zset, inputs):
+def _run_exponential(cfg, zset):
     limit = cfg.limit or 10000
     ys = cfg.y or (0.1, 0.05, 0.02, 0.01)
     table = sieve.build_sieve(sieve.KIND_LIOUVILLE, limit)
     series = convolve.convolve_fft(table, 2, limit)
+    cols, summary, failures = _sweep(
+        "y", ys, lambda y: explicit.exponential_direct(series, y, limit),
+        lambda y: explicit.exponential_explicit(sieve.KIND_LIOUVILLE, y, zset,
+                                                T=cfg.T),
+        ("direct", "main_term", "single_sum", "double_sum", "total",
+         "residual", "envelope", "deficit", "truncation_T", "zeros_used"))
     target_const = math.pi / (4.0 * specfun.zeta_half() ** 2)
-    cols = {k: [] for k in ("y", "direct", "main_term", "single_sum",
-                            "double_sum", "total", "residual", "envelope",
-                            "deficit", "truncation_T", "zeros_used")}
-    failures = []
-    residuals = []
-    worst_imag = 0.0
-    for y in ys:
-        y = float(y)
-        direct = explicit.exponential_direct(series, y, limit)
-        bd = explicit.exponential_explicit(sieve.KIND_LIOUVILLE, y, zset,
-                                           T=cfg.T)
-        worst_imag = max(worst_imag,
-                         _check_realness(bd, failures, f"y={y!r}"))
-        resid = abs(direct - bd.total)
-        residuals.append(resid)
-        deficit = abs(y * direct - target_const)
-        cols["y"].append(y)
-        cols["direct"].append(direct)
-        cols["deficit"].append(deficit)
-        for key, val in _breakdown_row(bd).items():
-            if key == "pair_terms":
-                continue
-            cols[key].append(val)
-        cols["residual"].append(resid)
+    cols["deficit"] = [abs(y * v - target_const)
+                       for y, v in zip(cols["y"], cols["direct"])]
     order = sorted(range(len(ys)), key=lambda i: -ys[i])
     deficits = [cols["deficit"][i] for i in order]
-    monotone = all(b < a for a, b in zip(deficits, deficits[1:]))
-    summary = _residual_summary(residuals, cols, worst_imag)
-    summary["deficit_monotone"] = monotone
-    summary["deficit_final"] = deficits[-1] if deficits else None
+    summary["deficit_monotone"] = all(b < a for a, b in
+                                      zip(deficits, deficits[1:]))
+    summary["deficit_final"] = deficits[-1]
     return cols, summary, failures
 
 
-def _run_weighted(cfg, zset, inputs):
+def _run_weighted(cfg, zset):
     a, b, eta, power = cfg.weight
     d = cfg.d or 2
     limit = cfg.limit or 10000
@@ -611,8 +561,9 @@ def _run_weighted(cfg, zset, inputs):
                                            T=cfg.T)
         worst = _check_realness(bd, failures, "weighted run")
         resid = abs(direct - bd.total)
-        for key, val in _breakdown_row(bd).items():
-            cols[key] = [val]
+        for key in ("main_term", "single_sum", "double_sum", "total",
+                    "envelope", "truncation_T", "zeros_used", "pair_terms"):
+            cols[key] = [getattr(bd, key)]
         cols["residual"] = [resid]
         summary["max_residual"] = resid
         summary["median_residual"] = resid
@@ -621,7 +572,7 @@ def _run_weighted(cfg, zset, inputs):
     return cols, summary, failures
 
 
-def _run_identity(cfg, inputs):
+def _run_identity(cfg, zset):
     limit = cfg.limit or 4096
     trials = cfg.trials
     rng = np.random.default_rng(_IDENTITY_SEED)
@@ -629,7 +580,6 @@ def _run_identity(cfg, inputs):
     cols = {k: [] for k in ("trial", "kind", "d", "a", "b", "eta", "power",
                             "direct", "rhs", "residual", "rel_residual")}
     failures = []
-    rels = []
     for t in range(trials):
         kind = (sieve.KIND_LIOUVILLE, sieve.KIND_MOEBIUS)[t % 2]
         d = cfg.d or 2 + ((t // 2) % 2)
@@ -651,7 +601,6 @@ def _run_identity(cfg, inputs):
         rhs = explicit.weighted_average_rhs(kind, w, tables[kind], d=d,
                                             mode="exact-identity")
         rel = abs(direct - rhs) / max(1.0, abs(direct))
-        rels.append(rel)
         if rel > _REL_IDENTITY_TOL:
             failures.append(
                 f"trial {t} ({kind}, d={d}): relative residual {rel:.3e}")
@@ -668,46 +617,48 @@ def _run_identity(cfg, inputs):
         cols["rel_residual"].append(rel)
     summary = {
         "rows": trials,
-        "median_rel_residual": float(np.median(rels)),
-        "max_rel_residual": float(np.max(rels)),
+        "median_rel_residual": float(np.median(cols["rel_residual"])),
+        "max_rel_residual": float(np.max(cols["rel_residual"])),
         "identity_ok": not failures,
     }
     return cols, summary, failures
 
 
-def _residual_summary(residuals, cols, worst_imag):
-    arr = np.asarray(residuals, dtype=np.float64)
+# target -> (runner, needs --zeros)
+_VERIFY = {
+    "L": (_run_summatory, True),
+    "M": (_run_summatory, True),
+    "cesaro": (_run_cesaro, True),
+    "cesaro-mu": (_run_cesaro, True),
+    "dfold": (_run_cesaro, True),
+    "dirichlet": (_run_dirichlet, True),
+    "exponential": (_run_exponential, True),
+    "weighted": (_run_weighted, False),
+    "identity": (_run_identity, False),
+}
+
+
+def _residual_summary(cols, worst_imag):
+    arr = np.asarray(cols["residual"], dtype=np.float64)
     env = np.asarray(cols["envelope"], dtype=np.float64)
     return {
         "rows": int(arr.size),
-        "median_residual": float(np.median(arr)) if arr.size else None,
-        "max_residual": float(np.max(arr)) if arr.size else None,
-        "envelope_exceedances": int(np.sum(arr > env)) if arr.size else 0,
+        "median_residual": float(np.median(arr)),
+        "max_residual": float(np.max(arr)),
+        "envelope_exceedances": int(np.sum(arr > env)),
         "max_relative_imag": worst_imag,
     }
 
 
 def _cmd_verify(cfg):
     inputs = {}
-    zset = None
-    if cfg.zeros is not None:
-        zset = _load_zeroset(cfg, inputs)
-    if cfg.target in ("L", "M"):
-        cols, summary, failures = _run_summatory(cfg, zset, inputs)
-    elif cfg.target in ("cesaro", "cesaro-mu", "dfold"):
-        cols, summary, failures = _run_cesaro(cfg, zset, inputs)
-    elif cfg.target == "dirichlet":
-        cols, summary, failures = _run_dirichlet(cfg, zset, inputs)
-    elif cfg.target == "exponential":
-        cols, summary, failures = _run_exponential(cfg, zset, inputs)
-    elif cfg.target == "weighted":
-        cols, summary, failures = _run_weighted(cfg, zset, inputs)
-    else:
-        cols, summary, failures = _run_identity(cfg, inputs)
+    zset = None if cfg.zeros is None else _load_zeroset(cfg, inputs)
+    cols, summary, failures = _VERIFY[cfg.target][0](cfg, zset)
     report = cfg.output or f"verify-{cfg.target}-report.{cfg.format}"
     _write_report(report, cfg.format, cfg.command, cfg.target, cols, summary)
     manifest = _write_manifest(cfg, report, inputs)
-    med = summary.get("median_residual", summary.get("median_rel_residual"))
+    med = next(summary[k] for k in ("median_residual", "median_rel_residual",
+                                    "identity_rel_residual") if k in summary)
     print(f"verify {cfg.target}: {summary['rows']} rows, "
           f"median {_fmt(med)} -> {report} (+ {manifest})")
     if failures:
@@ -724,7 +675,7 @@ def _cmd_verify(cfg):
 def _cmd_sieve(cfg):
     kind = sieve.KIND_LIOUVILLE
     table = sieve.build_sieve(kind, cfg.limit)
-    out = cfg.output or "sieve-table.npz"
+    out = cfg.output or "sieve-table.bin"
     sieve.dump_table(table, out)
     growth = sieve.growth_diagnostic(table)
     manifest = _write_manifest(
@@ -756,7 +707,7 @@ def _cmd_convolve(cfg):
 def _cmd_zeros_enrich(cfg):
     inputs = {}
     zset = _load_zeroset(cfg, inputs)
-    out = cfg.output or "zeros-cache.npz"
+    out = cfg.output or "zeros-cache.bin"
     if out.endswith(".csv"):
         zeros.export_csv(zset, out)
     else:
@@ -833,38 +784,11 @@ def _cmd_bench(cfg):
 # argument wiring
 
 
-def _add_common(sp, *names):
-    flags = {
-        "limit": (("--limit",), {"type": _parse_int,
-                                 "help": "sieve/series length"}),
-        "zeros": (("--zeros",), {"help": "zero ordinates file or cache"}),
-        "count": (("--count",), {"type": _parse_int,
-                                 "help": "number of zeros to keep"}),
-        "T": (("--T",), {"type": _parse_float, "dest": "T",
-                         "help": "ordinate cutoff for the zero sums"}),
-        "d": (("--d",), {"type": _parse_int, "help": "convolution order"}),
-        "s": (("--s",), {"type": _parse_complex,
-                         "help": "complex point 're,im'"}),
-        "y": (("--y",), {"type": _parse_ys,
-                         "help": "comma separated decay parameters"}),
-        "samples": (("--samples",), {"type": _parse_samples,
-                                     "help": "grid spec kind:count:lo:hi"}),
-        "weight": (("--weight",), {"type": _parse_weight,
-                                   "help": "weight spec a:b:eta[:power]"}),
-        "trials": (("--trials",), {"type": _parse_int,
-                                   "help": "randomized trial count"}),
-        "output": (("--output",), {"help": "report/artifact path"}),
-        "format": (("--format",), {"choices": ("csv", "json"),
-                                   "help": "report format"}),
-        "workers": (("--workers",), {
-            "type": _parse_int,
-            "help": "recorded in the manifest; changes neither the "
-                    "results nor the speed"}),
-        "config": (("--config",), {"help": "key=value defaults file"}),
-    }
+def _add_options(sp, *names):
     for name in names:
-        args, kwargs = flags[name]
-        sp.add_argument(*args, **kwargs)
+        parse, text = _OPTIONS[name]
+        sp.add_argument(f"--{name}", type=parse, help=text)
+    sp.add_argument("--config", help="key=value defaults file")
 
 
 def _build_parser():
@@ -874,23 +798,23 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("sieve", help="build and dump a sign table")
-    _add_common(sp, "limit", "output", "config")
+    _add_options(sp, "limit", "output")
 
     sp = sub.add_parser("convolve", help="build the d-fold series")
-    _add_common(sp, "limit", "d", "output", "config")
+    _add_options(sp, "limit", "d", "output")
 
     sp = sub.add_parser("zeros-enrich",
                         help="enrich zero ordinates and cache them")
-    _add_common(sp, "zeros", "count", "output", "config")
+    _add_options(sp, "zeros", "count", "output")
 
     sp = sub.add_parser("verify",
                         help="compare direct sums with truncated formulas")
-    sp.add_argument("target", choices=_VERIFY_TARGETS)
-    _add_common(sp, "limit", "zeros", "count", "T", "d", "s", "y", "samples",
-                "weight", "trials", "output", "format", "workers", "config")
+    sp.add_argument("target", choices=tuple(_VERIFY))
+    _add_options(sp, "limit", "zeros", "count", "T", "d", "s", "y", "samples",
+                 "weight", "trials", "output", "format", "workers")
 
     sp = sub.add_parser("bench", help="timing and cross-method checks")
-    _add_common(sp, "limit", "output", "format", "config")
+    _add_options(sp, "limit", "output", "format")
     return parser
 
 
@@ -911,15 +835,14 @@ def main(argv=None):
         args = _build_parser().parse_args(argv)
         cfg = _make_config(args)
         return _dispatch(cfg)
+    except SystemExit as exc:     # argparse's usage errors and --help
+        return exc.code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except InvariantFailure as exc:
-        print(f"invariant failure: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -94,21 +94,16 @@ def _fft_guard_bound(d: int, limit: int, m: int) -> float:
     return eps * GUARD_C * m * math.log2(m) * coeff
 
 
-def convolve_fft(table: SieveTable, d: int, limit: int,
-                 on_guard_failure: str = "fallback") -> ConvolutionSeries:
+def convolve_fft(table: SieveTable, d: int, limit: int) -> ConvolutionSeries:
     """FFT route for S_d, guarded so no unverified integer is emitted.
 
     The +-1 sequence is zero-padded to a power of two covering the full
     linear d-fold convolution (length d*(limit-1)+1; for d=2 this is the
     usual 2N padding), raised to the d-th power in the frequency domain
     and rounded back.  If the a-priori guard or the observed rounding
-    residue exceeds 0.25, the exact time-domain route takes over
-    (on_guard_failure="fallback", the default) or a ValueError explains
-    the situation (on_guard_failure="raise").
+    residue exceeds 0.25, the exact time-domain route takes over.
     """
     _check_args(table, d, limit)
-    if on_guard_failure not in ("fallback", "raise"):
-        raise ValueError("on_guard_failure must be 'fallback' or 'raise'")
 
     m = 1
     while m < max(2 * limit, d * (limit - 1) + 1):
@@ -128,15 +123,7 @@ def convolve_fft(table: SieveTable, d: int, limit: int,
             out.setflags(write=False)
             return ConvolutionSeries(kind=table.kind, d=d, limit=limit,
                                      values=out, method="fft")
-        reason = f"observed rounding residue {residue:.3g} >= 0.25"
-    else:
-        reason = f"a-priori rounding bound {bound:.3g} >= 0.25"
 
-    if on_guard_failure == "raise":
-        raise ValueError(
-            f"FFT rounding guard failed ({reason}); use the exact blocked "
-            f"fallback (convolve_fft with on_guard_failure='fallback', or "
-            f"convolve_naive)")
     if float(math.comb(limit - 1, d - 1)) >= float(2 ** 62):
         raise ValueError(
             "exact int64 fallback could overflow for these (d, limit); "

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -649,23 +649,20 @@ def double_series_diagnostic(zs, k, coeff_kind, K):
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """A C^2 weight f supported on [a, b) and its derivatives.
+    """A C^2 weight f supported on [a, b) and its second derivative.
 
-    f, f_prime, f_second are vectorized evaluators returning 0 outside
+    f and f_second are vectorized evaluators returning 0 outside
     [a, b); f(b-) = f'(b-) = 0 is the caller's responsibility.
-    moments, when present, is the closed form of
-    I(z) = integral_a^b f''(w) w^(z+1) dw for complex z, vectorized;
-    without it the integral falls back to Gauss-Legendre panels in
-    log w, which needs a > 0 and a finite b.
+    moments is the closed form of I(z) = integral_a^b f''(w) w^(z+1) dw
+    for complex z, vectorized.
     """
 
     a: float
     b: float
     eta: float
     f: Callable
-    f_prime: Callable
     f_second: Callable
-    moments: Optional[Callable] = None
+    moments: Callable
 
     def __post_init__(self):
         if not self.a < self.b:
@@ -685,8 +682,7 @@ def make_polynomial_weight(a, b, eta, power=2):
     """Weight f(w) = (b - w)^power on [a, b), zero elsewhere.
 
     power >= 2 keeps f(b-) = f'(b-) = 0.  Moments come in closed form
-    by expanding (b - w)^(power-2) binomially, so both a = 0 and a > 0
-    avoid quadrature entirely.
+    by expanding (b - w)^(power-2) binomially, for a = 0 and a > 0 alike.
     """
     a = float(a)
     b = float(b)
@@ -699,11 +695,6 @@ def make_polynomial_weight(a, b, eta, power=2):
     def f(w):
         w = np.asarray(w, dtype=np.float64)
         return np.where((w >= a) & (w < b), (b - w) ** power, 0.0)
-
-    def f_prime(w):
-        w = np.asarray(w, dtype=np.float64)
-        return np.where((w >= a) & (w < b),
-                        -power * (b - w) ** (power - 1), 0.0)
 
     def f_second(w):
         w = np.asarray(w, dtype=np.float64)
@@ -725,44 +716,17 @@ def make_polynomial_weight(a, b, eta, power=2):
             out = out + ck * (upper - lower) / e
         return power * (power - 1) * out
 
-    return WeightSpec(a=a, b=b, eta=float(eta), f=f, f_prime=f_prime,
-                      f_second=f_second, moments=moments)
+    return WeightSpec(a=a, b=b, eta=float(eta), f=f, f_second=f_second,
+                      moments=moments)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 def _moment_integral(w: WeightSpec, z):
-    """I(z) = integral_a^b f''(w) w^(z+1) dw for an array of z.
-
-    Uses the closed form when the weight carries one.  The fallback
-    integrates in u = log w with enough Gauss-Legendre panels that the
-    fastest phase advances at most 4 radians per panel.
-    """
+    """I(z) = integral_a^b f''(w) w^(z+1) dw for an array of z."""
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    if w.moments is not None:
-        return np.asarray(w.moments(z), dtype=np.complex128)
-    if not (w.a > 0.0 and math.isfinite(w.b)):
-        raise ValueError(
-            "quadrature moments need 0 < a and b finite; supply "
-            "closed-form moments instead")
-    ua, ub = math.log(w.a), math.log(w.b)
-    omega = float(np.max(np.abs(z.imag))) if z.size else 0.0
-    panels = max(4, int(math.ceil(omega * (ub - ua) / 4.0)))
-    edges = np.linspace(ua, ub, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    u = (mid[:, None] + half * _GL_NODES[None, :]).ravel()
-    wgt = (half * np.broadcast_to(_GL_WEIGHTS, (panels, 16))).ravel()
-    # dw = w du plus one power of w from the integrand measure
-    base = np.asarray(w.f_second(np.exp(u)), dtype=np.float64) \
-        * wgt * np.exp(u)
-    out = np.empty(z.size, dtype=np.complex128)
-    step = max(1, (1 << 21) // u.size)
-    for lo in range(0, z.size, step):
-        zz = z[lo:lo + step]
-        out[lo:lo + step] = np.exp(np.outer(zz + 1.0, u)) @ base
-    return out
+    return np.asarray(w.moments(z), dtype=np.complex128)
 
 
 def _abs_moment(w: WeightSpec, p):

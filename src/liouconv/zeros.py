@@ -13,7 +13,6 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -21,7 +20,6 @@ import numpy as np
 from . import specfun
 
 __all__ = [
-    "ZeroDatum",
     "ZeroSet",
     "load_ordinates",
     "enrich",
@@ -46,16 +44,6 @@ _CACHE_VERSION = 1
 
 
 @dataclass(frozen=True)
-class ZeroDatum:
-    """One nontrivial zero rho = 1/2 + i*gamma with cached coefficients."""
-
-    index: int
-    gamma: float
-    zprime: complex   # zeta'(1/2 + i gamma)
-    z2rho: complex    # zeta(1 + 2 i gamma)
-
-
-@dataclass(frozen=True)
 class ZeroSet:
     """Ascending, gap-free collection of enriched zeros."""
 
@@ -75,14 +63,6 @@ class ZeroSet:
     @property
     def t_max(self) -> float:
         return float(self.gammas[-1]) if self.gammas.size else 0.0
-
-    @cached_property
-    def zeros(self) -> tuple[ZeroDatum, ...]:
-        return tuple(
-            ZeroDatum(index=i + 1, gamma=float(self.gammas[i]),
-                      zprime=complex(self.zprimes[i]),
-                      z2rho=complex(self.z2rhos[i]))
-            for i in range(self.gammas.size))
 
     @property
     def rhos(self) -> np.ndarray:

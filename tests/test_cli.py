@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from liouconv import cli, zeros
+from liouconv import cli, sieve, zeros
 
 
 @pytest.fixture(scope="module")
@@ -49,10 +49,10 @@ def test_subcommands_reject_flags_they_do_not_use():
                           ("convolve", "--workers=2"),
                           ("bench", "--workers=2"), ("sieve", "--format=csv"),
                           ("convolve", "--format=csv"),
-                          ("zeros-enrich", "--format=csv")):
-        with pytest.raises(SystemExit) as exc:
-            cli.main([command, "--output", "unused", flag])
-        assert exc.value.code == 2
+                          ("zeros-enrich", "--format=csv"),
+                          ("verify L", "--format=xml")):
+        assert cli.main(command.split() + ["--output", "unused", flag]) == 2
+    assert cli.main(["--help"]) == 0
 
 
 def test_sample_and_value_parsers():
@@ -174,6 +174,74 @@ def test_bench_small_exits_clean(tmp_path):
     res = manifest["results"]
     assert res["d3_fft_sha256"] == res["d3_naive_sha256"]
     assert res["convolve_d2_fft_seconds"] > 0.0
+
+
+Z = object()   # stands for --zeros and the 80-zero cache
+_SWEEP = ["direct", "main_term", "single_sum", "double_sum", "total",
+          "residual", "envelope", "truncation_T", "zeros_used", "pair_terms"]
+_SWEEP_SUMMARY = {"rows", "median_residual", "max_residual",
+                  "envelope_exceedances", "max_relative_imag"}
+_WEIGHTED = ["a", "b", "eta", "power", "d", "direct", "identity_rhs",
+             "identity_rel_residual"]
+
+
+@pytest.mark.parametrize("argv,columns,summary", [
+    (["L", Z, "--limit", "800", "--samples", "log:3:10:800"],
+     ["x"] + _SWEEP, _SWEEP_SUMMARY),
+    (["M", Z, "--limit", "800", "--samples", "log:3:10:800"],
+     ["x"] + _SWEEP, _SWEEP_SUMMARY),
+    (["cesaro", Z, "--limit", "2000", "--samples", "log:3:200:2000"],
+     ["x"] + _SWEEP, _SWEEP_SUMMARY),
+    (["cesaro-mu", Z, "--limit", "2000", "--samples", "log:3:200:2000"],
+     ["x"] + _SWEEP, _SWEEP_SUMMARY),
+    (["dfold", Z, "--limit", "2000", "--samples", "log:3:200:2000"],
+     ["x"] + _SWEEP, _SWEEP_SUMMARY),
+    (["dirichlet", Z, "--limit", "2000", "--s", "3,1"],
+     ["re_s", "im_s", "direct_re", "direct_im", "main_re", "main_im",
+      "single_re", "single_im", "double_re", "double_im", "total_re",
+      "total_im", "residual", "envelope", "truncation_T", "zeros_used",
+      "pair_terms"],
+     {"rows", "median_residual", "max_residual", "envelope_exceedances"}),
+    (["exponential", Z, "--limit", "4000", "--y", "0.1,0.01"],
+     ["y", "direct", "main_term", "single_sum", "double_sum", "total",
+      "residual", "envelope", "deficit", "truncation_T", "zeros_used"],
+     _SWEEP_SUMMARY | {"deficit_monotone", "deficit_final"}),
+    (["weighted", Z, "--limit", "2000", "--weight", "0:2.5:40"],
+     _WEIGHTED + ["main_term", "single_sum", "double_sum", "total",
+                  "envelope", "truncation_T", "zeros_used", "pair_terms",
+                  "residual"],
+     {"rows", "identity_rel_residual", "identity_ok", "median_residual",
+      "max_residual", "max_relative_imag", "envelope_exceedances"}),
+    (["weighted", "--limit", "2000", "--weight", "0:2.5:40"],
+     _WEIGHTED, {"rows", "identity_rel_residual", "identity_ok"}),
+    (["identity", "--limit", "1024", "--trials", "2"],
+     ["trial", "kind", "d", "a", "b", "eta", "power", "direct", "rhs",
+      "residual", "rel_residual"],
+     {"rows", "median_rel_residual", "max_rel_residual", "identity_ok"}),
+], ids=["L", "M", "cesaro", "cesaro-mu", "dfold", "dirichlet", "exponential",
+        "weighted-zeros", "weighted", "identity"])
+def test_verify_report_schema(tmp_path, cache80, argv, columns, summary):
+    """Each target's CSV columns, in order, and its summary keys."""
+    argv = [a for arg in argv for a in (["--zeros", cache80] if arg is Z
+                                        else [arg])]
+    report = tmp_path / "report.csv"
+    assert cli.main(["verify"] + argv + ["--output", str(report)]) == 0
+    head, got = _summary_block(report.read_text())
+    assert head.splitlines()[0].split(",") == columns
+    assert set(got) == summary
+
+
+def test_default_artifact_names(tmp_path, monkeypatch):
+    ords = tmp_path / "ordinates.txt"
+    ords.write_text("".join(f"{g:.13f}\n"
+                            for g in zeros.bundled_ordinates(10)))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["sieve", "--limit", "100"]) == 0
+    assert cli.main(["zeros-enrich", "--zeros", str(ords)]) == 0
+    assert sieve.load_table("sieve-table.bin").limit == 100
+    assert len(zeros.load_cache("zeros-cache.bin")) == 10
+    assert (tmp_path / "sieve-table.bin.manifest.json").exists()
+    assert (tmp_path / "zeros-cache.bin.manifest.json").exists()
 
 
 def test_sieve_and_convolve_artifacts(tmp_path):

@@ -58,7 +58,7 @@ def test_low_indices_are_zero():
 
 def test_fallback_agrees_with_naive():
     table = sieve.build_sieve(sieve.KIND_MOEBIUS, 1500)
-    a = convolve.convolve_fft(table, 4, 1500, on_guard_failure="fallback")
+    a = convolve.convolve_fft(table, 4, 1500)
     b = convolve.convolve_naive(table, 4, 1500)
     assert np.array_equal(a.values, b.values)
 
@@ -116,5 +116,3 @@ def test_argument_validation():
         convolve.convolve_naive(table, 1, 100)
     with pytest.raises(ValueError):
         convolve.convolve_naive(table, 2, 101)
-    with pytest.raises(ValueError):
-        convolve.convolve_fft(table, 2, 100, on_guard_failure="shrug")
