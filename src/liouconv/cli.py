@@ -10,8 +10,9 @@ Five subcommands:
 
 ``verify`` takes one of nine targets: L, M, cesaro, cesaro-mu, dfold,
 dirichlet, exponential, weighted, identity.  The ``_VERIFY`` table maps
-each target to its runner and whether it needs ``--zeros``; the L, M,
-Cesaro and exponential runners share one per-point loop, ``_sweep``.
+each target to its runner, whether it needs ``--zeros`` and the options
+it reads (any other flag is a usage error; config-file keys stay shared
+defaults).  L, M, Cesaro and exponential share one loop, ``_sweep``.
 Each run writes a report (CSV by default, JSON with --format json)
 with one row per sample point and a summary block, plus a manifest
 next to it recording the effective configuration, library versions,
@@ -196,10 +197,14 @@ def _make_config(args):
     """Merge flag values over config-file values over defaults."""
     file_cfg = _read_config_file(args.config) if getattr(
         args, "config", None) else {}
+    allowed = (_VERIFY[args.target][2] + ("workers", "output", "format")
+               if args.command == "verify" else tuple(_OPTIONS))
     merged = {}
     for key in _OPTIONS:
         flag = getattr(args, key, None)
         if flag is not None:
+            if key not in allowed:
+                raise UsageError(f"verify {args.target} does not use --{key}")
             merged[key] = flag
         elif key in file_cfg:
             merged[key] = file_cfg[key]
@@ -260,9 +265,6 @@ def _validate(cfg):
         if need > limit:
             raise UsageError(
                 f"--weight reaches index {need}; raise --limit (now {limit})")
-    if target in ("cesaro", "cesaro-mu") and cfg.d not in (None, 2):
-        raise UsageError(f"verify {target} is the d=2 case; use dfold for "
-                         "higher d")
     if cfg.samples is not None and cfg.limit is not None:
         if cfg.samples[3] > cfg.limit and target not in ("identity",
                                                          "weighted"):
@@ -624,17 +626,19 @@ def _run_identity(cfg, zset):
     return cols, summary, failures
 
 
-# target -> (runner, needs --zeros)
+_ZEROS = ("zeros", "count", "T")
+
+# target -> (runner, needs --zeros, the options its runner reads)
 _VERIFY = {
-    "L": (_run_summatory, True),
-    "M": (_run_summatory, True),
-    "cesaro": (_run_cesaro, True),
-    "cesaro-mu": (_run_cesaro, True),
-    "dfold": (_run_cesaro, True),
-    "dirichlet": (_run_dirichlet, True),
-    "exponential": (_run_exponential, True),
-    "weighted": (_run_weighted, False),
-    "identity": (_run_identity, False),
+    "L": (_run_summatory, True, ("limit", "samples") + _ZEROS),
+    "M": (_run_summatory, True, ("limit", "samples") + _ZEROS),
+    "cesaro": (_run_cesaro, True, ("limit", "samples") + _ZEROS),
+    "cesaro-mu": (_run_cesaro, True, ("limit", "samples") + _ZEROS),
+    "dfold": (_run_cesaro, True, ("limit", "samples", "d") + _ZEROS),
+    "dirichlet": (_run_dirichlet, True, ("limit", "s") + _ZEROS),
+    "exponential": (_run_exponential, True, ("limit", "y") + _ZEROS),
+    "weighted": (_run_weighted, False, ("limit", "weight", "d") + _ZEROS),
+    "identity": (_run_identity, False, ("limit", "trials", "d")),
 }
 
 
@@ -698,7 +702,8 @@ def _cmd_convolve(cfg):
     manifest = _write_manifest(
         cfg, out, {},
         results={"kind": series.kind, "d": d, "limit": cfg.limit,
-                 "method": series.method, "values_sha256": digest})
+                 "method": series.method, "limbs": list(series.limbs),
+                 "max_residue": series.residue, "values_sha256": digest})
     print(f"convolve: d={d} up to {cfg.limit} via {series.method} "
           f"-> {out} (+ {manifest})")
     return 0

@@ -1,16 +1,18 @@
 """d-fold additive convolutions of lambda/mu and their weighted averages.
 
 S_d(n) = sum over m_1 + ... + m_d = n (each m_i >= 1) of v(m_1)...v(m_d),
-where v is the Liouville or Moebius function.  Two independent routes are
-kept: a time-domain integer route (the oracle) and an FFT route with a
-rounding guard.  The continuous side is the d-fold Laplace self-convolution
-of the summatory function, computed exactly from its piecewise-polynomial
-structure; the Cesaro sum (1/(d-1)!) sum S_d(n)(x-n)^{d-1} must agree with
-it to floating rounding, which is what the identity tests pin down.
+where v is the Liouville or Moebius function.  The exact integers come
+from d-1 certified FFT folds (``convolve_fft``); ``convolve_naive`` is
+the time-domain oracle.  The continuous side is the d-fold Laplace
+self-convolution of the summatory function, computed exactly from its
+piecewise-polynomial structure; the Cesaro sum (1/(d-1)!) sum S_d(n)
+(x-n)^{d-1} must agree with it to floating rounding, which is what the
+identity tests pin down.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -27,8 +29,9 @@ __all__ = [
     "export_csv",
 ]
 
-# Rounding-guard constant for the FFT route (conservative).
-GUARD_C = 8.0
+# The certificate's moduli: the three largest primes below 2^31.
+_PRIMES = (2147483647, 2147483629, 2147483587)
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -40,8 +43,10 @@ class ConvolutionSeries:
         d: number of summands, >= 2.
         limit: largest n covered.
         values: int64 array of length limit+1; entries below n = d are 0.
-        method: how the values were produced ("naive", "fft",
-            "fft-fallback"); informational only.
+        method: how the values were produced ("naive" or
+            "fft-certified"); informational only.
+        limbs: FFT limb products per fold (empty for "naive").
+        residue: largest rounding residue of any limb product.
     """
 
     kind: str
@@ -49,6 +54,8 @@ class ConvolutionSeries:
     limit: int
     values: np.ndarray
     method: str = field(default="naive", compare=False)
+    limbs: tuple = field(default=(), compare=False)
+    residue: float = field(default=0.0, compare=False)
 
 
 def _check_args(table: SieveTable, d: int, limit: int) -> None:
@@ -79,58 +86,88 @@ def convolve_naive(table: SieveTable, d: int, limit: int) -> ConvolutionSeries:
                              method="naive")
 
 
-def _fft_guard_bound(d: int, limit: int, m: int) -> float:
-    """Predicted worst-case rounding error of the FFT route.
+def _eval_mod(c, r, p, reduce):
+    """sum_i c[i] r^i mod p, as two int64 dot products per block against
+    the 16-bit halves of the powers of r; exact while |c| < 2^31, so
+    ``reduce`` takes c mod p first where c may be larger."""
+    pw = np.ones(_BLOCK, dtype=np.int64)
+    for k in (1 << j for j in range(_BLOCK.bit_length() - 1)):
+        pw[k:2 * k] = pw[:k] * pow(r, k, p) % p
+    lo, hi = pw & 0xFFFF, pw >> 16
+    total = 0
+    for s in range(0, c.size, _BLOCK):
+        blk = c[s:s + _BLOCK] % p if reduce else c[s:s + _BLOCK]
+        val = int(blk @ lo[:blk.size]) + (int(blk @ hi[:blk.size]) << 16)
+        total = (total + val * pow(r, s, p)) % p
+    return total
 
-    Uses the combinatorial bound max |S_d(n)| <= C(limit-1, d-1) for the
-    coefficient magnitude; no sharper growth bound for individual S_d is
-    available, so this is deliberately pessimistic.
+
+def _fold(a, v, spec_v, m, b, consume):
+    """(a * v as int64, limb count, largest residue), or ValueError.
+
+    Each balanced b-bit limb product of a must round with a residue below
+    0.25, and the sum must match a(r) v(r) modulo three primes at points
+    drawn from the operands' SHA-256 (a Schwartz-Zippel identity test).
+    ``spec_v`` is rfft(v, m), which ``consume`` lets this call overwrite.
     """
-    try:
-        coeff = float(math.comb(limit - 1, d - 1))
-    except OverflowError:
-        return math.inf
-    eps = float(np.finfo(np.float64).eps)
-    return eps * GUARD_C * m * math.log2(m) * coeff
+    amax = int(np.abs(a).max())
+    bound = amax * int(np.count_nonzero(v))
+    if bound >= 1 << 62:
+        raise ValueError("S_d could overflow int64; reduce d or the limit")
+    half, limbs = 1 << (b - 1), [a]       # balanced base-2^b digits of a
+    while int(np.abs(limbs[-1]).max()) >= half:
+        low = ((limbs[-1] + half) & (2 * half - 1)) - half
+        limbs[-1:] = [low, (limbs[-1] - low) >> b]
+    n = a.size + v.size - 1
+    prod, residue = np.zeros(n, dtype=np.int64), 0.0
+    for j, limb in enumerate(limbs):
+        spec = np.fft.rfft(limb, m) if limb is not v else (
+            spec_v if consume else spec_v.copy())     # first fold's limb
+        spec *= spec_v
+        raw = np.fft.irfft(spec, m)
+        del spec
+        for s in range(0, n, _BLOCK):
+            x = raw[s:min(s + _BLOCK, n)]
+            r = np.rint(x)
+            residue = max(residue, float(np.abs(x - r).max()))
+            prod[s:s + x.size] += r.astype(np.int64) << (b * j)
+    if residue >= 0.25:
+        raise ValueError(f"FFT rounding residue {residue:.3g} is not < 0.25")
+    seed = hashlib.sha256(a)
+    seed.update(v)
+    for p, word in zip(_PRIMES, np.frombuffer(seed.digest(), "<u8")):
+        r = int(word) % (p - 2) + 2
+        lhs = _eval_mod(a, r, p, amax >= 1 << 31) * _eval_mod(v, r, p, False)
+        if lhs % p != _eval_mod(prod, r, p, bound >= 1 << 31):
+            raise ValueError("FFT product failed its modular certificate")
+    return prod, len(limbs), residue
 
 
 def convolve_fft(table: SieveTable, d: int, limit: int) -> ConvolutionSeries:
-    """FFT route for S_d, guarded so no unverified integer is emitted.
+    """Certified FFT route for S_d: d-1 exact folds acc <- (acc * v).
 
-    The +-1 sequence is zero-padded to a power of two covering the full
-    linear d-fold convolution (length d*(limit-1)+1; for d=2 this is the
-    usual 2N padding), raised to the d-th power in the frequency domain
-    and rounded back.  If the a-priori guard or the observed rounding
-    residue exceeds 0.25, the exact time-domain route takes over.
+    Indices start at n = 1 (v(0) = 0), so one real FFT length m >=
+    2*limit - 1 holds every full product, and rfft(v) is taken once.
+    The limb width b is the largest with 8 eps log2(m) 2^b limit < 0.25,
+    a norm bound on the FFT's rounding error (after Percival 2003).
     """
     _check_args(table, d, limit)
-
-    m = 1
-    while m < max(2 * limit, d * (limit - 1) + 1):
-        m *= 2
-    bound = _fft_guard_bound(d, limit, m)
-
-    if bound < 0.25:
-        v = np.zeros(m, dtype=np.float64)
-        v[1:limit + 1] = table.values[1:limit + 1]
-        spec = np.fft.rfft(v)
-        raw = np.fft.irfft(spec ** d, n=m)[:limit + 1]
-        rounded = np.rint(raw)
-        residue = float(np.abs(raw - rounded).max())
-        if residue < 0.25:
-            out = rounded.astype(np.int64)
-            out[:min(d, limit + 1)] = 0
-            out.setflags(write=False)
-            return ConvolutionSeries(kind=table.kind, d=d, limit=limit,
-                                     values=out, method="fft")
-
-    if float(math.comb(limit - 1, d - 1)) >= float(2 ** 62):
-        raise ValueError(
-            "exact int64 fallback could overflow for these (d, limit); "
-            "reduce the range")
-    series = convolve_naive(table, d, limit)
-    return ConvolutionSeries(kind=series.kind, d=d, limit=limit,
-                             values=series.values, method="fft-fallback")
+    m = 2 ** max(1, (2 * limit - 2).bit_length())
+    eps = float(np.finfo(np.float64).eps)
+    b = math.ceil(math.log2(0.25 / (8 * eps * math.log2(m) * limit))) - 1
+    v = table.values[1:limit + 1].astype(np.int64)
+    spec_v = np.fft.rfft(v, m)
+    acc, limbs, residue = v, [], 0.0
+    for fold in range(1, d):
+        prod, k, res = _fold(acc, v, spec_v, m, b, fold == d - 1)
+        acc = np.concatenate(([0], prod[:limit - 1]))
+        limbs.append(k)
+        residue = max(residue, res)
+    out = np.concatenate(([0], acc))
+    out.setflags(write=False)
+    return ConvolutionSeries(kind=table.kind, d=d, limit=limit, values=out,
+                             method="fft-certified", limbs=tuple(limbs),
+                             residue=residue)
 
 
 def cesaro_sum(series: ConvolutionSeries, x) -> float:
@@ -238,8 +275,9 @@ def laplace_convolution_exact(table: SieveTable, x, d: int = 2) -> float:
 
 
 def export_csv(series: ConvolutionSeries, path) -> None:
-    """Write `n,value` rows for d <= n <= limit."""
+    """Write `n,value` rows for d <= n <= limit, one string per block."""
     with open(path, "w") as fh:
         fh.write("n,value\n")
-        for n in range(series.d, series.limit + 1):
-            fh.write(f"{n},{int(series.values[n])}\n")
+        for s in range(series.d, series.limit + 1, _BLOCK):
+            rows = series.values[s:s + _BLOCK].tolist()
+            fh.write("".join([f"{n},{v}\n" for n, v in enumerate(rows, s)]))

@@ -371,7 +371,7 @@ def summatory_remainder_bound(kind, x, T, eps=ENV_EPS):
 # Cesaro average of the pair convolution
 
 
-def explicit_cesaro(kind, x, zs, T=None, d=2, extrapolated=False):
+def explicit_cesaro(kind, x, zs, T=None, d=2):
     """Truncated explicit formula for the weighted partial sum
     (1/(d-1)!) sum_{n <= x} S_d(n) (x - n)^(d-1).
 
@@ -382,8 +382,7 @@ def explicit_cesaro(kind, x, zs, T=None, d=2, extrapolated=False):
     and power x^(rho1 + rho2 + d - 1).
 
     moebius: the double sum alone with coefficients 1/zeta'(rho),
-    stated for d = 2; other d continue the same pattern but are only
-    reachable with extrapolated=True.
+    stated for d = 2 only; other d raise.
 
     d = 2 is the case verified against sieved data at desk scale.  For
     d >= 3 the evaluated series is the (d-2)-fold iterated integral of
@@ -395,10 +394,8 @@ def explicit_cesaro(kind, x, zs, T=None, d=2, extrapolated=False):
     d = int(d)
     if d < 2:
         raise ValueError("d must be at least 2")
-    if kind == KIND_MOEBIUS and d != 2 and not extrapolated:
-        raise ValueError(
-            "the moebius expansion is stated for d=2 only; pass "
-            "extrapolated=True to evaluate the pattern at other d")
+    if kind == KIND_MOEBIUS and d != 2:
+        raise ValueError("the moebius expansion is stated for d=2 only")
     x = float(x)
     if not x > 0.0:
         raise ValueError("x must be positive")

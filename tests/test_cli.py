@@ -44,7 +44,7 @@ def test_usage_errors_exit_2(tmp_path, cache80):
     assert cli.main(["verify", "identity", "--config", str(bad)]) == 2
 
 
-def test_subcommands_reject_flags_they_do_not_use():
+def test_subcommands_reject_flags_they_do_not_use(tmp_path, capsys):
     for command, flag in (("sieve", "--workers=2"),
                           ("convolve", "--workers=2"),
                           ("bench", "--workers=2"), ("sieve", "--format=csv"),
@@ -53,6 +53,25 @@ def test_subcommands_reject_flags_they_do_not_use():
                           ("verify L", "--format=xml")):
         assert cli.main(command.split() + ["--output", "unused", flag]) == 2
     assert cli.main(["--help"]) == 0
+    for target, flag, value in (("dirichlet", "samples", "log:5:10:100"),
+                                ("dirichlet", "trials", "3"),
+                                ("dirichlet", "y", "0.1"),
+                                ("dirichlet", "weight", "0:1:10"),
+                                ("cesaro", "d", "2"), ("L", "s", "3"),
+                                ("identity", "zeros", "z.npz"),
+                                ("identity", "T", "50"),
+                                ("exponential", "samples", "log:5:10:100")):
+        capsys.readouterr()
+        assert cli.main(["verify", target, f"--{flag}", value]) == 2
+        assert (f"error: verify {target} does not use --{flag}"
+                in capsys.readouterr().err)
+    # config-file keys are shared defaults; the shared flags go anywhere
+    cfgfile = tmp_path / "shared.cfg"
+    cfgfile.write_text("s = 3\ny = 0.1\nweight = 0:1:10\n")
+    assert cli.main(["verify", "identity", "--config", str(cfgfile),
+                     "--limit", "256", "--trials", "1", "--workers", "2",
+                     "--format", "json",
+                     "--output", str(tmp_path / "id.json")]) == 0
 
 
 def test_sample_and_value_parsers():
@@ -254,3 +273,8 @@ def test_sieve_and_convolve_artifacts(tmp_path):
                      "--output", str(series_path)]) == 0
     header = series_path.read_text().splitlines()[0]
     assert header == "n,value"
+    manifest = json.loads((tmp_path / "series.csv.manifest.json").read_text())
+    results = manifest["results"]
+    assert results["method"] == "fft-certified"
+    assert results["limbs"] == [1, 1]
+    assert 0.0 <= results["max_residue"] < 0.25

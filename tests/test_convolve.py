@@ -42,9 +42,9 @@ def test_fft_matches_naive(kind, d):
     slow = convolve.convolve_naive(table, d, limit)
     assert np.array_equal(fast.values, slow.values)
     assert fast.values.dtype == np.int64
-    # d=4 at this length trips the pessimistic a-priori guard and takes
-    # the exact route; the label records that.
-    assert fast.method == ("fft-fallback" if d == 4 else "fft")
+    assert fast.method == "fft-certified"
+    assert fast.limbs == (1,) * (d - 1)
+    assert fast.residue < 0.25
     assert slow.method == "naive"
 
 
@@ -56,11 +56,43 @@ def test_low_indices_are_zero():
         assert series.values[d] != 0  # S_d(d) = lambda(1)^d
 
 
-def test_fallback_agrees_with_naive():
-    table = sieve.build_sieve(sieve.KIND_MOEBIUS, 1500)
-    a = convolve.convolve_fft(table, 4, 1500)
-    b = convolve.convolve_naive(table, 4, 1500)
-    assert np.array_equal(a.values, b.values)
+def test_multi_limb_agrees_with_naive():
+    # at N = 2000 the limbs are 32 bits wide, and |S_7|, |S_8| pass 2^31,
+    # so the last two folds split the accumulator into two limbs
+    for kind in (sieve.KIND_LIOUVILLE, sieve.KIND_MOEBIUS):
+        table = sieve.build_sieve(kind, 2000)
+        a = convolve.convolve_fft(table, 9, 2000)
+        b = convolve.convolve_naive(table, 9, 2000)
+        assert a.limbs[-2:] == (2, 2)
+        assert np.array_equal(a.values, b.values)
+
+
+def test_certificate_catches_a_shifted_value(monkeypatch):
+    # a whole-unit error keeps the rounding residue at zero, so only the
+    # modular certificate can see it
+    table = sieve.build_sieve(sieve.KIND_LIOUVILLE, 2048)
+    irfft = np.fft.irfft
+
+    def shifted(*args, **kwargs):
+        out = irfft(*args, **kwargs)
+        out[100] += 1.0
+        return out
+
+    monkeypatch.setattr(convolve.np.fft, "irfft", shifted)
+    with pytest.raises(ValueError, match="certificate"):
+        convolve.convolve_fft(table, 2, 2048)
+
+
+def test_int64_overflow_raises():
+    limit, d = 1000, 14
+    table = sieve.build_sieve(sieve.KIND_LIOUVILLE, limit)
+    v = table.values[:limit + 1].astype(np.float64)
+    approx = v
+    for _ in range(d - 1):
+        approx = np.convolve(approx, v)[:limit + 1]
+    assert np.abs(approx).max() > 2.0 ** 63    # the true values leave int64
+    with pytest.raises(ValueError, match="overflow"):
+        convolve.convolve_fft(table, d, limit)
 
 
 def test_cesaro_sum_matches_direct_loop(rng):

@@ -221,9 +221,6 @@ def test_cesaro_moebius_is_double_only(zs1000):
 def test_cesaro_extrapolation_flag(zs1000):
     with pytest.raises(ValueError):
         explicit.explicit_cesaro(sieve.KIND_MOEBIUS, 500.0, zs1000, d=3)
-    bd = explicit.explicit_cesaro(sieve.KIND_MOEBIUS, 500.0, zs1000, d=3,
-                                  extrapolated=True)
-    assert math.isfinite(bd.total)
 
 
 # ---------------------------------------------------------------------------
