@@ -8,21 +8,24 @@ Five subcommands:
   verify        compare direct computations against truncated formulas
   bench         wall-time comparisons and a cross-method hash check
 
-``verify`` takes one of nine targets: L, M, cesaro, cesaro-mu, dfold,
-dirichlet, exponential, weighted, identity.  The ``_VERIFY`` table maps
-each target to its runner, whether it needs ``--zeros`` and the options
-it reads (any other flag is a usage error; config-file keys stay shared
-defaults).  L, M, Cesaro and exponential share one loop, ``_sweep``.
-Each run writes a report (CSV by default, JSON with --format json)
-with one row per sample point and a summary block, plus a manifest
-next to it recording the effective configuration, library versions,
-input checksums, and the report's SHA-256.  Reports carry no
+The ``_COMMANDS`` table maps each subcommand to its handler and the
+options its parser declares.  ``verify`` takes one of nine targets: L,
+M, cesaro, cesaro-mu, dfold, dirichlet, exponential, weighted,
+identity.  The ``_VERIFY`` table maps each target to its runner,
+whether it needs ``--zeros`` and the options it reads (any other flag
+is a usage error).  L, M, Cesaro and exponential share one loop,
+``_sweep``.  Each run writes a report (CSV by default, JSON with
+--format json) with one row per sample point and a summary block, plus
+a manifest next to it recording the effective configuration, library
+versions, input checksums, and the report's SHA-256.  Reports carry no
 timestamps and every float is written with shortest-roundtrip repr,
 so the same inputs produce byte identical reports.
 
 Each row of ``_OPTIONS`` is both a flag and a ``--config`` key=value
 key.  Precedence is flags, then the config file, then built-in
-defaults.  ``main`` returns the exit code, argparse's included:
+defaults.  A config-file key the command does not read keeps its
+default; the manifest lists it with its file value under
+``ignored_config``.  ``main`` returns the exit code, argparse's included:
 0 success, 1 hard invariant violation, 2 usage or input error.
 """
 
@@ -35,7 +38,7 @@ import math
 import platform
 import sys
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
@@ -170,6 +173,8 @@ class RunConfig:
     output: str | None = None
     format: str = "csv"
     workers: int = 1
+    # config-file keys the command does not read, with their file values
+    ignored_config: dict = field(default_factory=dict, compare=False)
 
 
 def _read_config_file(path):
@@ -194,27 +199,34 @@ def _read_config_file(path):
 
 
 def _make_config(args):
-    """Merge flag values over config-file values over defaults."""
-    file_cfg = _read_config_file(args.config) if getattr(
-        args, "config", None) else {}
-    allowed = (_VERIFY[args.target][2] + ("workers", "output", "format")
-               if args.command == "verify" else tuple(_OPTIONS))
+    """Merge flag values over config-file values over defaults.
+
+    Only the options the command reads are merged: for verify the
+    target's options plus workers, output and format, for the other
+    commands the options their parser declares.  A config-file key
+    outside that set keeps its default and lands in ignored_config.
+    """
+    file_cfg = _read_config_file(args.config) if args.config else {}
+    reads = (_VERIFY[args.target][2] + ("workers", "output", "format")
+             if args.command == "verify" else _COMMANDS[args.command][2])
     merged = {}
+    ignored = {}
     for key in _OPTIONS:
         flag = getattr(args, key, None)
         if flag is not None:
-            if key not in allowed:
+            if key not in reads:
                 raise UsageError(f"verify {args.target} does not use --{key}")
             merged[key] = flag
         elif key in file_cfg:
-            merged[key] = file_cfg[key]
+            (merged if key in reads else ignored)[key] = file_cfg[key]
     if merged.get("count") is not None and merged.get("T") is not None:
         raise UsageError("give --count or --T, not both")
     fmt = merged.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise UsageError(f"--format must be csv or json, got {fmt!r}")
     cfg = RunConfig(command=args.command,
-                    target=getattr(args, "target", None), **merged)
+                    target=getattr(args, "target", None),
+                    ignored_config=ignored, **merged)
     _validate(cfg)
     return cfg
 
@@ -373,10 +385,13 @@ def _jsonable(value):
 
 
 def _write_manifest(cfg, report_path, inputs, results=None):
+    config = asdict(cfg)
+    ignored = config.pop("ignored_config")
     doc = {
         "command": cfg.command,
         "target": cfg.target,
-        "config": {k: _jsonable(v) for k, v in asdict(cfg).items()},
+        "config": {k: _jsonable(v) for k, v in config.items()},
+        "ignored_config": {k: _jsonable(v) for k, v in ignored.items()},
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -789,11 +804,18 @@ def _cmd_bench(cfg):
 # argument wiring
 
 
-def _add_options(sp, *names):
-    for name in names:
-        parse, text = _OPTIONS[name]
-        sp.add_argument(f"--{name}", type=parse, help=text)
-    sp.add_argument("--config", help="key=value defaults file")
+# command -> (handler, help, the options its parser declares)
+_COMMANDS = {
+    "sieve": (_cmd_sieve, "build and dump a sign table", ("limit", "output")),
+    "convolve": (_cmd_convolve, "build the d-fold series",
+                 ("limit", "d", "output")),
+    "zeros-enrich": (_cmd_zeros_enrich, "enrich zero ordinates and cache them",
+                     ("zeros", "count", "output")),
+    "verify": (_cmd_verify, "compare direct sums with truncated formulas",
+               tuple(_OPTIONS)),
+    "bench": (_cmd_bench, "timing and cross-method checks",
+              ("limit", "output", "format")),
+}
 
 
 def _build_parser():
@@ -801,45 +823,22 @@ def _build_parser():
         prog="liouconv",
         description="sign-sum convolutions against zeta-zero formulas")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("sieve", help="build and dump a sign table")
-    _add_options(sp, "limit", "output")
-
-    sp = sub.add_parser("convolve", help="build the d-fold series")
-    _add_options(sp, "limit", "d", "output")
-
-    sp = sub.add_parser("zeros-enrich",
-                        help="enrich zero ordinates and cache them")
-    _add_options(sp, "zeros", "count", "output")
-
-    sp = sub.add_parser("verify",
-                        help="compare direct sums with truncated formulas")
-    sp.add_argument("target", choices=tuple(_VERIFY))
-    _add_options(sp, "limit", "zeros", "count", "T", "d", "s", "y", "samples",
-                 "weight", "trials", "output", "format", "workers")
-
-    sp = sub.add_parser("bench", help="timing and cross-method checks")
-    _add_options(sp, "limit", "output", "format")
+    for command, (_, text, names) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=text)
+        if command == "verify":
+            sp.add_argument("target", choices=tuple(_VERIFY))
+        for name in names:
+            parse, help_text = _OPTIONS[name]
+            sp.add_argument(f"--{name}", type=parse, help=help_text)
+        sp.add_argument("--config", help="key=value defaults file")
     return parser
-
-
-def _dispatch(cfg):
-    if cfg.command == "sieve":
-        return _cmd_sieve(cfg)
-    if cfg.command == "convolve":
-        return _cmd_convolve(cfg)
-    if cfg.command == "zeros-enrich":
-        return _cmd_zeros_enrich(cfg)
-    if cfg.command == "verify":
-        return _cmd_verify(cfg)
-    return _cmd_bench(cfg)
 
 
 def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
         cfg = _make_config(args)
-        return _dispatch(cfg)
+        return _COMMANDS[cfg.command][0](cfg)
     except SystemExit as exc:     # argparse's usage errors and --help
         return exc.code
     except UsageError as exc:

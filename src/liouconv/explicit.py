@@ -31,10 +31,9 @@ shift, and a factor F that depends only on z1 + z2.  One engine,
 _pair_total, evaluates all of them; a formula supplies c, the shift,
 F and a bound on log |F|.
 
-Determinism.  Every sum is reduced in a fixed order (ascending gamma
-for singles, ascending gamma_i + gamma_j for pairs) through fixed
-64-term blocks: math.fsum inside a block, a fixed pairwise tree across
-blocks, so the same inputs always give the same bits.
+Determinism.  Every floating sum is one math.fsum, which rounds the
+exact total of its terms once.  The result does not depend on the order
+of the terms, so the same inputs always give the same bits.
 """
 
 from __future__ import annotations
@@ -50,12 +49,10 @@ from .convolve import ConvolutionSeries, convolve_fft
 from .sieve import KIND_LIOUVILLE, KIND_MOEBIUS, SieveTable
 
 __all__ = [
-    "BLOCK",
     "ExplicitBreakdown",
     "WeightSpec",
     "blocked_sum",
     "explicit_summatory",
-    "summatory_remainder_bound",
     "explicit_cesaro",
     "dirichlet_direct",
     "dirichlet_explicit",
@@ -67,7 +64,6 @@ __all__ = [
     "double_series_diagnostic",
 ]
 
-BLOCK = 64
 PRUNE_EPS = 1e-18
 POLE_TOL = 1e-8
 ENV_EPS = 0.1
@@ -79,46 +75,22 @@ _CHUNK = 1 << 18
 
 
 # ---------------------------------------------------------------------------
-# deterministic reduction
-
-
-def _fold_pairwise(partials):
-    """Fold a list by summing adjacent pairs until one value remains."""
-    ps = list(partials)
-    if not ps:
-        return 0.0
-    while len(ps) > 1:
-        nxt = [ps[k] + ps[k + 1] for k in range(0, len(ps) - 1, 2)]
-        if len(ps) % 2:
-            nxt.append(ps[-1])
-        ps = nxt
-    return ps[0]
+# exactly rounded reduction
 
 
 def blocked_sum(values):
-    """Compensated total of a 1-D array in a fixed reduction order.
+    """Exactly rounded total of a 1-D array.
 
-    The array is cut into fixed blocks of 64 entries.  Each block is
-    summed with math.fsum (exactly rounded over its terms); the block
-    partials are then folded by a fixed pairwise tree.
+    One math.fsum over all entries, so the result is the exact sum
+    rounded once and does not depend on the order of the entries.
+    Complex input sums its real and imaginary parts separately.
 
     Returns a float for real input, a complex for complex input.
     """
     arr = np.asarray(values)
-    want_complex = np.iscomplexobj(arr)
-    if arr.size == 0:
-        return 0j if want_complex else 0.0
-    arr = np.ascontiguousarray(
-        arr, dtype=np.complex128 if want_complex else np.float64)
-    partials = []
-    for lo in range(0, arr.size, BLOCK):
-        seg = arr[lo:lo + BLOCK]
-        if want_complex:
-            partials.append(complex(math.fsum(seg.real), math.fsum(seg.imag)))
-        else:
-            partials.append(math.fsum(seg))
-    total = _fold_pairwise(partials)
-    return complex(total) if want_complex else float(total)
+    if np.iscomplexobj(arr):
+        return complex(math.fsum(arr.real), math.fsum(arr.imag))
+    return math.fsum(arr)
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +160,6 @@ def _assemble(main, single, double, T, used, pairs, envelope, realify):
         imag_residue=float(resid), envelope=float(envelope))
 
 
-def _single_total(plus_terms, minus_terms):
-    """Sum term(rho) + term(conj rho) per zero, ascending gamma."""
-    return complex(blocked_sum(plus_terms + minus_terms))
-
-
 def _rho(sign, g):
     return 0.5 + 1j * sign * g
 
@@ -245,17 +212,14 @@ def _pair_total(gammas, coeff, shift, factor, log_factor_bound, parts,
     parameter of the formula is real; then only (+, +) and (+, -) are
     evaluated and doubled in real part.
 
-    Returns (total, evaluated_pattern_count).  Pairs are processed in
-    ascending gamma_i + gamma_j order through fixed chunks, so the
-    reduction is deterministic.
+    Returns (total, evaluated_pattern_count).  Pairs are evaluated in
+    chunks of _CHUNK to bound memory; the total is one exactly rounded
+    sum, so it does not depend on the pair order.
     """
     count = gammas.size
     if count == 0:
         return 0j, 0
     ii, jj = _pair_layout(count)
-    order = np.argsort(gammas[ii] + gammas[jj], kind="stable")
-    ii = np.ascontiguousarray(ii[order])
-    jj = np.ascontiguousarray(jj[order])
     weight = np.where(ii == jj, 1.0, 2.0)
     npairs = ii.size
     scale = max([abs(complex(p)) for p in parts] + [1.0])
@@ -294,8 +258,7 @@ def _pair_total(gammas, coeff, shift, factor, log_factor_bound, parts,
             vals = vals + (2.0 * part.real if hermitian else part)
             evaluated += kept
         combined[lo:hi] = vals
-    total = blocked_sum(weight * combined)
-    return complex(total), evaluated
+    return blocked_sum(weight * combined), evaluated
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +284,9 @@ def explicit_summatory(kind, x, zs, T=None):
     the remainder.
 
     envelope is 1 + x(|log x| + 1)/T, the part of the remainder that
-    shrinks with the truncation; summatory_remainder_bound has the full
-    expression.
+    shrinks with the truncation; the full remainder with constant 1 adds
+    (x - x^(1/4)) / (T^(1-eps) log x), and for moebius x^eps with the
+    power 1/4 replaced by eps.
     """
     _check_kind(kind)
     x = float(x)
@@ -338,33 +302,9 @@ def explicit_summatory(kind, x, zs, T=None):
         main = -2.0
         coeff = 1.0 / denom
     terms = coeff * np.exp(rhos * math.log(x))
-    single = _single_total(terms, np.conj(terms))
+    single = blocked_sum(terms + np.conj(terms))
     envelope = 1.0 + x * (abs(math.log(x)) + 1.0) / T
     return _assemble(main, single, 0.0, T, used, 0, envelope, realify=True)
-
-
-def summatory_remainder_bound(kind, x, T, eps=ENV_EPS):
-    """Remainder bound of the summatory formulas with constant 1.
-
-    liouville: 1 + x(|log x|+1)/T + (x - x^(1/4)) / (T^(1-eps) log x).
-    moebius adds x^eps and replaces the power 1/4 by eps.  The ratio
-    (x - x^c)/log x is read as its limit 1 - c at x = 1.
-    """
-    _check_kind(kind)
-    x = float(x)
-    T = float(T)
-    if not (x > 0.0 and T >= 1.0):
-        raise ValueError("need x > 0 and T >= 1")
-    power = 0.25 if kind == KIND_LIOUVILLE else eps
-    lx = math.log(x)
-    if abs(lx) < 1e-8:
-        ratio = 1.0 - power
-    else:
-        ratio = (x - x ** power) / lx
-    bound = 1.0 + x * (abs(lx) + 1.0) / T + ratio / T ** (1.0 - eps)
-    if kind == KIND_MOEBIUS:
-        bound += x ** eps
-    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +351,7 @@ def explicit_cesaro(kind, x, zs, T=None, d=2):
             specfun.log_gamma(rhos)
             - specfun.log_gamma(rhos + (d + 0.5))
             + (rhos + (d - 0.5)) * lx)
-        single = _single_total(single_terms, np.conj(single_terms))
+        single = blocked_sum(single_terms + np.conj(single_terms))
     else:
         main = 0.0
         single = 0j
@@ -433,7 +373,7 @@ def explicit_cesaro(kind, x, zs, T=None, d=2):
 
 
 def dirichlet_direct(series: ConvolutionSeries, s, N):
-    """Partial sum of S(n) n^(-s) up to N, compensated summation."""
+    """Partial sum of S(n) n^(-s) up to N, as one exactly rounded sum."""
     N = int(N)
     if N < 1:
         raise ValueError("N must be positive")
@@ -516,7 +456,7 @@ def dirichlet_explicit(kind, s, zs, T=None):
         cpre = (math.sqrt(math.pi) / zh) * pref
         plus = cpre * coeff * gk / (rhos - s + 0.5)
         minus = cpre * np.conj(coeff * gk) / (np.conj(rhos) - s + 0.5)
-        single = _single_total(plus, minus)
+        single = blocked_sum(plus + minus)
     else:
         main = 0j
         single = 0j
@@ -626,8 +566,7 @@ def double_series_diagnostic(zs, k, coeff_kind, K):
     else:
         cabs = np.abs(1.0 / zs.zprimes[:K])
     shift = 1.0 + k
-    # row-major i <= j, so the pairs below a cut K' are those with
-    # j < K', in the order the K'-zero layout would list them
+    # i <= j, so the pairs of the K'-zero set are those with j < K'
     ii, jj = _pair_layout(K)
     terms = np.empty(ii.size)
     for lo in range(0, ii.size, _CHUNK):
@@ -936,7 +875,7 @@ def weighted_average_rhs(kind, w: WeightSpec, table: SieveTable, zs=None,
             - specfun.log_gamma(rhos + (d + 0.5))
             + (rhos + (d - 1.5)) * leta) \
             * _moment_integral(w, rhos + (d - 1.5))
-        single = _single_total(plus, np.conj(plus))
+        single = blocked_sum(plus + np.conj(plus))
     else:
         main = 0j
         single = 0j

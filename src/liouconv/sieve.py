@@ -164,19 +164,18 @@ def summatory(table: SieveTable, x) -> int:
     return int(table.prefix[k])
 
 
-def growth_diagnostic(table: SieveTable, threshold: float = 3.0,
-                      power: float = 0.6) -> float:
-    """Largest |prefix[k]| / k^power over 100 <= k <= N.
+def growth_diagnostic(table: SieveTable) -> float:
+    """Largest |prefix[k]| / k^0.6 over 100 <= k <= N.
 
     Desk-scale sanity check that the summatory function is far below the
-    trivial bound; values above `threshold` indicate a broken table.
+    trivial bound; values above 3 indicate a broken table.
     """
     if table.limit < 100:
         return 0.0
     k = np.arange(100, table.limit + 1, dtype=np.float64)
-    ratio = np.abs(table.prefix[100:]) / k ** power
+    ratio = np.abs(table.prefix[100:]) / k ** 0.6
     worst = float(ratio.max())
-    if worst > threshold:
+    if worst > 3.0:
         raise AssertionError(
             f"summatory growth diagnostic failed: max ratio {worst:.3f}")
     return worst

@@ -26,7 +26,6 @@ __all__ = [
     "save_cache",
     "load_cache",
     "is_cache",
-    "cache_roundtrip",
     "sz_diagnostic",
     "counting_sanity",
     "truncate",
@@ -111,45 +110,39 @@ def load_ordinates(source) -> list[float]:
     return out
 
 
-def enrich(ordinates, evaluator=specfun,
-           residual_tol: float = RESIDUAL_TOL) -> ZeroSet:
+def enrich(ordinates) -> ZeroSet:
     """Attach zeta'(rho) and zeta(2 rho) to each ordinate.
 
     Args:
         ordinates: ascending positive ordinates (list or array).
-        evaluator: object providing zeta(s) and zeta_derivative(s);
-            defaults to the package evaluator.
-        residual_tol: reject any gamma with |zeta(1/2+i gamma)| at or
-            above this (low-precision input shows up here).
 
     Raises:
-        ValueError: residual failure (with the offending ordinate) or a
+        ValueError: an ordinate with |zeta(1/2+i gamma)| at or above
+            RESIDUAL_TOL (low-precision input shows up here), or a
             |zeta'| below 1e-8, which would break every 1/zeta'(rho)
             coefficient downstream.
     """
     g = np.asarray(list(ordinates), dtype=np.float64)
     if g.size == 0:
         return ZeroSet(gammas=g, zprimes=np.empty(0, np.complex128),
-                       z2rhos=np.empty(0, np.complex128),
-                       residual_tol=residual_tol)
+                       z2rhos=np.empty(0, np.complex128))
     s = 0.5 + 1j * g
-    residual = np.abs(evaluator.zeta(s))
-    bad = np.nonzero(residual >= residual_tol)[0]
+    residual = np.abs(specfun.zeta(s))
+    bad = np.nonzero(residual >= RESIDUAL_TOL)[0]
     if bad.size:
         k = int(bad[0])
         raise ValueError(
             f"ordinate {g[k]!r} (position {k + 1}) fails the residual "
-            f"check: |zeta(1/2+i gamma)| = {residual[k]:.3e} >= {residual_tol}")
-    zprimes = np.asarray(evaluator.zeta_derivative(s), dtype=np.complex128)
+            f"check: |zeta(1/2+i gamma)| = {residual[k]:.3e} >= {RESIDUAL_TOL}")
+    zprimes = np.asarray(specfun.zeta_derivative(s), dtype=np.complex128)
     small = np.nonzero(np.abs(zprimes) < _MIN_ZPRIME)[0]
     if small.size:
         k = int(small[0])
         raise ValueError(
             f"ordinate {g[k]!r}: |zeta'(rho)| = {np.abs(zprimes[k]):.3e} "
             f"< {_MIN_ZPRIME}; simple-zero assumption violated")
-    z2 = np.asarray(evaluator.zeta(1.0 + 2j * g), dtype=np.complex128)
-    return ZeroSet(gammas=g, zprimes=zprimes, z2rhos=z2,
-                   residual_tol=residual_tol)
+    z2 = np.asarray(specfun.zeta(1.0 + 2j * g), dtype=np.complex128)
+    return ZeroSet(gammas=g, zprimes=zprimes, z2rhos=z2)
 
 
 def truncate(zset: ZeroSet, count: int | None = None,
@@ -203,20 +196,6 @@ def is_cache(path) -> bool:
     """Whether the file starts with the zero-cache magic bytes."""
     with open(path, "rb") as fh:
         return fh.read(len(_CACHE_MAGIC)) == _CACHE_MAGIC
-
-
-def cache_roundtrip(zset: ZeroSet, path) -> ZeroSet:
-    """Store, reload, and verify bit-exact equality field by field."""
-    save_cache(zset, path)
-    back = load_cache(path)
-    same = (len(back) == len(zset)
-            and back.residual_tol == zset.residual_tol
-            and np.array_equal(back.gammas, zset.gammas)
-            and np.array_equal(back.zprimes, zset.zprimes)
-            and np.array_equal(back.z2rhos, zset.z2rhos))
-    if not same:
-        raise ValueError("zero cache round trip is not bit-exact")
-    return back
 
 
 def sz_diagnostic(zset: ZeroSet, t_ceiling: float) -> dict:

@@ -65,7 +65,8 @@ def test_subcommands_reject_flags_they_do_not_use(tmp_path, capsys):
         assert cli.main(["verify", target, f"--{flag}", value]) == 2
         assert (f"error: verify {target} does not use --{flag}"
                 in capsys.readouterr().err)
-    # config-file keys are shared defaults; the shared flags go anywhere
+    # config-file keys a target does not read are ignored, not errors;
+    # the shared flags go anywhere
     cfgfile = tmp_path / "shared.cfg"
     cfgfile.write_text("s = 3\ny = 0.1\nweight = 0:1:10\n")
     assert cli.main(["verify", "identity", "--config", str(cfgfile),
@@ -116,6 +117,7 @@ def test_manifest_contents(tmp_path, cache80):
     want_report = hashlib.sha256(report.read_bytes()).hexdigest()
     assert manifest["report"]["sha256"] == want_report
     assert "numpy" in manifest["versions"]
+    assert manifest["ignored_config"] == {}
 
 
 def test_report_bytes_worker_invariant(tmp_path, cache80):
@@ -182,6 +184,30 @@ def test_config_file_precedence(tmp_path, cache80):
     manifest = json.loads((tmp_path / "id.csv.manifest.json").read_text())
     assert manifest["config"]["limit"] == 900     # from the file
     assert manifest["config"]["trials"] == 2      # flag wins
+    assert manifest["ignored_config"] == {}
+
+
+def test_manifest_lists_ignored_config_keys(tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("s = 3\ny = 0.1\n")
+    report = tmp_path / "id.csv"
+    assert cli.main(["verify", "identity", "--config", str(cfgfile),
+                     "--limit", "256", "--trials", "1",
+                     "--output", str(report)]) == 0
+    manifest = json.loads((tmp_path / "id.csv.manifest.json").read_text())
+    assert manifest["config"]["s"] is None
+    assert manifest["config"]["y"] is None
+    assert manifest["ignored_config"] == {"s": [3.0, 0.0], "y": [0.1]}
+    # a subcommand reads the options its parser declares
+    cfgfile.write_text("limit = 300\nd = 3\nformat = json\n")
+    out = tmp_path / "table.bin"
+    assert cli.main(["sieve", "--config", str(cfgfile),
+                     "--output", str(out)]) == 0
+    manifest = json.loads((tmp_path / "table.bin.manifest.json").read_text())
+    assert manifest["config"]["limit"] == 300
+    assert manifest["config"]["d"] is None
+    assert manifest["config"]["format"] == "csv"
+    assert manifest["ignored_config"] == {"d": 3, "format": "json"}
 
 
 def test_bench_small_exits_clean(tmp_path):

@@ -83,6 +83,7 @@ def test_cache_roundtrip_is_bitwise(tmp_path, zs1000):
     path = tmp_path / "cache.bin"
     zeros.save_cache(subset, path)
     back = zeros.load_cache(path)
+    assert len(back) == len(subset)
     assert np.array_equal(back.gammas, subset.gammas)
     assert np.array_equal(back.zprimes, subset.zprimes)
     assert np.array_equal(back.z2rhos, subset.z2rhos)
