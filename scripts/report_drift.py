@@ -1,0 +1,160 @@
+#!/usr/bin/env python3
+"""Compare the verify reports of two source trees of the package.
+
+Each tree runs the same 13 `verify` cases (every target at small sizes,
+plus `dfold --d 4`, `dirichlet --s 3` and `weighted --d 3` with zeros)
+in its own interpreter, against one shared 80-zero cache, inside a
+temporary directory.  For each case the script prints "identical" when
+the two CSV reports match byte for byte.  Otherwise it prints each
+moved column with its largest |change| over
+max(1, |main|, |single|, |double|, |direct|, |total|) of the row (the
+old tree's values), each moved summary key with |change| over
+max(1, |old|), and "header differs" or "changed" for anything that is
+not a float.
+
+Run from the repository root, e.g. against a checkout of the parent
+commit:
+
+    python scripts/report_drift.py /path/to/parent/src src
+"""
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+Z = "@zeros"     # stands for --zeros and the shared 80-zero cache
+CASES = {
+    "L": ["L", Z, "--limit", "800", "--samples", "log:3:10:800"],
+    "M": ["M", Z, "--limit", "800", "--samples", "log:3:10:800"],
+    "cesaro": ["cesaro", Z, "--limit", "2000", "--samples", "log:3:200:2000"],
+    "cesaro-mu": ["cesaro-mu", Z, "--limit", "2000",
+                  "--samples", "log:3:200:2000"],
+    "dfold": ["dfold", Z, "--limit", "2000", "--samples", "log:3:200:2000"],
+    "dfold-d4": ["dfold", Z, "--limit", "2000", "--d", "4",
+                 "--samples", "log:3:200:2000"],
+    "dirichlet": ["dirichlet", Z, "--limit", "2000", "--s", "3,1"],
+    "dirichlet-s3": ["dirichlet", Z, "--limit", "2000", "--s", "3"],
+    "exponential": ["exponential", Z, "--limit", "4000", "--y", "0.1,0.01"],
+    "weighted-zeros": ["weighted", Z, "--limit", "2000",
+                       "--weight", "0:2.5:40"],
+    "weighted-zeros-d3": ["weighted", Z, "--limit", "2000", "--d", "3",
+                          "--weight", "1.5:2.5:30:3"],
+    "weighted": ["weighted", "--limit", "2000", "--weight", "0:2.5:40"],
+    "identity": ["identity", "--limit", "1024", "--trials", "2"],
+}
+SCALE_PREFIXES = ("main", "single", "double", "direct", "total")
+
+# Runs inside the child interpreter, with the tree's src on sys.path.
+_CHILD = """
+import sys
+from liouconv import cli, zeros
+cache, out, cases = sys.argv[1], sys.argv[2], sys.argv[3:]
+if out == "-":
+    zeros.save_cache(zeros.enrich(zeros.bundled_ordinates(80)), cache)
+    sys.exit(0)
+for i in range(0, len(cases), 2):
+    name, argv = cases[i], cases[i + 1].split("\\x1f")
+    argv = sum((["--zeros", cache] if a == "@zeros" else [a] for a in argv),
+               [])
+    code = cli.main(["verify"] + argv + ["--output", f"{out}/{name}.csv"])
+    if code:
+        sys.exit(f"verify {name} exited {code}")
+"""
+
+
+def _run_tree(src, cache, out):
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+    cases = [item for name, argv in CASES.items()
+             for item in (name, "\x1f".join(argv))]
+    subprocess.run([sys.executable, "-c", _CHILD, str(cache), str(out)]
+                   + cases, env=env, cwd=out, check=True,
+                   stdout=subprocess.DEVNULL)
+
+
+def _parse(text):
+    """(header, rows, summary) of a CSV report."""
+    head, _, tail = text.partition("\n\nkey,value\n")
+    lines = head.splitlines()
+    summary = dict(line.split(",", 1) for line in tail.strip().splitlines())
+    return lines[0].split(","), [r.split(",") for r in lines[1:]], summary
+
+
+def _float(text):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _is_float_text(text):
+    return _float(text) is not None and not text.lstrip("-").isdigit()
+
+
+def _row_scale(header, row):
+    vals = [abs(_float(v)) for k, v in zip(header, row)
+            if k.startswith(SCALE_PREFIXES) and _float(v) is not None]
+    return max([1.0] + vals)
+
+
+def compare(old_text, new_text):
+    """One line describing how the new report differs from the old one."""
+    if old_text == new_text:
+        return "identical"
+    h0, rows0, sum0 = _parse(old_text)
+    h1, rows1, sum1 = _parse(new_text)
+    if h0 != h1 or len(rows0) != len(rows1) or set(sum0) != set(sum1):
+        return "header differs"
+    moved = {}
+    for r0, r1 in zip(rows0, rows1):
+        scale = _row_scale(h0, r0)
+        for key, a, b in zip(h0, r0, r1):
+            if a == b:
+                continue
+            if not (_is_float_text(a) and _is_float_text(b)):
+                moved[key] = "changed"
+                continue
+            rel = abs(float(b) - float(a)) / scale
+            if moved.get(key) != "changed":
+                moved[key] = max(moved.get(key, 0.0), rel)
+    for key in sorted(sum0):
+        a, b = sum0[key], sum1[key]
+        if a == b:
+            continue
+        if _is_float_text(a) and _is_float_text(b):
+            rel = abs(float(b) - float(a)) / max(1.0, abs(float(a)))
+            moved[f"summary {key}"] = rel
+        else:
+            moved[f"summary {key}"] = "changed"
+    return ", ".join(f"{k} {v:.2e}" if isinstance(v, float) else f"{k} {v}"
+                     for k, v in moved.items())
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old_src", help="src directory of the old tree")
+    parser.add_argument("new_src", help="src directory of the new tree")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cache = tmp / "z80.bin"
+        env = dict(os.environ, PYTHONPATH=str(Path(args.new_src).resolve()))
+        subprocess.run([sys.executable, "-c", _CHILD, str(cache), "-"],
+                       env=env, cwd=tmp, check=True)
+        outs = []
+        for label, src in (("old", args.old_src), ("new", args.new_src)):
+            out = tmp / label
+            out.mkdir()
+            _run_tree(src, cache, out)
+            outs.append(out)
+        width = max(map(len, CASES))
+        for name in CASES:
+            texts = [(out / f"{name}.csv").read_text() for out in outs]
+            print(f"{name:<{width}}  {compare(*texts)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -259,8 +259,8 @@ def _validate(cfg):
     if target == "dirichlet":
         if cfg.s is None:
             raise UsageError("verify dirichlet needs --s re[,im]")
-        if cfg.s.real <= 1.0:
-            raise UsageError("verify dirichlet needs Re s > 1")
+        if not cfg.s.real > 1.0 + 1e-6:
+            raise UsageError("verify dirichlet needs Re s > 1 + 1e-6")
     if target == "exponential":
         ys = cfg.y or (0.1, 0.05, 0.02, 0.01)
         limit = cfg.limit or 10000

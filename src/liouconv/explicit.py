@@ -22,14 +22,22 @@ bound; same-sign terms decay only polynomially and are always
 evaluated.  pair_terms records how many (pair, pattern) values were
 actually evaluated after pruning.
 
-Every double sum has the shape
+Residues and one kernel.  Each factor of a sum over v = lambda or mu is
+an inverse Mellin integral of D(s) Gamma(s), where D(s) = zeta(2s)/zeta(s)
+for lambda and 1/zeta(s) for mu.  Shifting the contours left picks up
+one residue per factor: a = Gamma(1/2) / (2 zeta(1/2)) at the pole
+s = 1/2 (lambda only) and c(rho) Gamma(rho) at each zero, with
+c(rho) = zeta(2 rho)/zeta'(rho) or 1/zeta'(rho).  A two-factor formula
+applies its kernel K(w) = F(w) / Gamma(w + shift) to the sum w of the
+two residue points:
 
-    sum of c(z1) c(z2) Gamma(z1) Gamma(z2) / Gamma(z1 + z2 + shift) F(z1 + z2)
+    main   = a^2 K(1),
+    single = 2a * sum over z = rho, conj rho of c(z) Gamma(z) K(z + 1/2),
+    double = sum of c(z1) c(z2) Gamma(z1) Gamma(z2) K(z1 + z2).
 
-over signed zeros z1, z2, with the formula's coefficient c, its Gamma
-shift, and a factor F that depends only on z1 + z2.  One engine,
-_pair_total, evaluates all of them; a formula supplies c, the shift,
-F and a bound on log |F|.
+A formula supplies only F (through factor), the shift and, for the
+double sum, a bound on log |F|; _pole_terms, _single_total and
+_pair_total evaluate the rest.
 
 Determinism.  Every floating sum is one math.fsum, which rounds the
 exact total of its terms once.  The result does not depend on the order
@@ -65,7 +73,6 @@ __all__ = [
 ]
 
 PRUNE_EPS = 1e-18
-POLE_TOL = 1e-8
 ENV_EPS = 0.1
 
 # Hard cap on the unordered pair count of a double sum; past this the
@@ -144,8 +151,24 @@ def _usable(zs, T):
     return int(np.searchsorted(zs.gammas, T, side="left")), T
 
 
-def _assemble(main, single, double, T, used, pairs, envelope, realify):
-    if realify:
+def _coefficients(kind, zs, used):
+    """c(rho) of the first used zeros: zeta(2 rho)/zeta'(rho) for
+    liouville, 1/zeta'(rho) for moebius."""
+    if kind == KIND_LIOUVILLE:
+        return zs.z2rhos[:used] / zs.zprimes[:used]
+    return 1.0 / zs.zprimes[:used]
+
+
+def _pole_residue(kind):
+    """a = Gamma(1/2) / (2 zeta(1/2)), the residue of D(s) Gamma(s) at
+    s = 1/2; None for moebius, whose D(s) has no pole there."""
+    if kind == KIND_LIOUVILLE:
+        return math.sqrt(math.pi) / (2.0 * specfun.zeta_half())
+    return None
+
+
+def _assemble(main, single, double, T, used, pairs, envelope, hermitian):
+    if hermitian:
         resid = max(abs(complex(main).imag), abs(complex(single).imag),
                     abs(complex(double).imag))
         main = complex(main).real
@@ -262,6 +285,46 @@ def _pair_total(gammas, coeff, shift, factor, log_factor_bound, parts,
 
 
 # ---------------------------------------------------------------------------
+# single-sum engine and the pole terms
+
+
+def _single_total(rhos, coeff, offset, shift, factor, hermitian):
+    """The single sum of c(z) Gamma(z) K(z + offset) over z = rho, conj rho.
+
+    The m = 1 twin of _pair_total, with the same factor(w, log_kernel)
+    contract: w = z + offset and log_kernel = log Gamma(z) -
+    log Gamma(w + shift); shift=None drops the denominator, for kernels
+    without a Gamma factor.  hermitian evaluates z = rho only and
+    doubles the real part.
+    """
+    def terms(z, c):
+        w = z + offset
+        log_kernel = specfun.log_gamma(z)
+        if shift is not None:
+            log_kernel = log_kernel - specfun.log_gamma(w + shift)
+        return c * factor(w, log_kernel)
+
+    plus = terms(rhos, coeff)
+    if hermitian:
+        return blocked_sum(2.0 * plus.real)
+    return blocked_sum(plus + terms(np.conj(rhos), np.conj(coeff)))
+
+
+def _pole_terms(kind, rhos, coeff, shift, factor, hermitian):
+    """(main, single) = (a^2 K(1), 2a times the single sum at offset 1/2).
+
+    Both are exactly 0.0 for moebius, which has no pole residue a.
+    """
+    a = _pole_residue(kind)
+    if a is None:
+        return 0.0, 0.0
+    log_kernel = 0.0 if shift is None else -specfun.log_gamma(1.0 + shift)
+    main = a * a * complex(factor(1.0, log_kernel))
+    return main, 2.0 * a * _single_total(rhos, coeff, 0.5, shift, factor,
+                                         hermitian)
+
+
+# ---------------------------------------------------------------------------
 # summatory functions
 
 
@@ -272,10 +335,14 @@ def explicit_summatory(kind, x, zs, T=None):
         + sum over |gamma| < T of zeta(2 rho) x^rho / (zeta'(rho) rho).
     moebius: M(x) = -2 + sum over |gamma| < T of x^rho / (zeta'(rho) rho).
 
-    main_term collects every residue of the Perron integrand off the
-    critical line: the pole at s = 1/2 (liouville only) and the residue
-    at s = 0, which is F(0) = 1 for liouville and 1/zeta(0) = -2 for
-    moebius.  Leaving the s = 0 piece in the remainder (it fits under
+    This is the one-factor case with kernel K(w) = x^w / Gamma(w + 1):
+    the zero terms c(rho) Gamma(rho) K(rho) are kept in the closed form
+    c(rho) x^rho / rho, which the Gamma ratio taken through logs would
+    blur by about 1e-11 at gamma ~ 1e4.  main_term collects every
+    residue of the Perron integrand off the critical line: the pole at
+    s = 1/2 (liouville only), a K(1/2), and the residue at s = 0, which
+    is D(0) = 1 for liouville and 1/zeta(0) = -2 for moebius.  Leaving
+    the s = 0 piece in the remainder (it fits under
     the O(1) there) would put a constant floor of that size under the
     residual, so refining the truncation could never be seen to
     converge; with it the residual shrinks as zeros are added.  The
@@ -294,17 +361,12 @@ def explicit_summatory(kind, x, zs, T=None):
         raise ValueError("x must be positive")
     used, T = _usable(zs, T)
     rhos = zs.rhos[:used]
-    denom = zs.zprimes[:used] * rhos
-    if kind == KIND_LIOUVILLE:
-        main = math.sqrt(x) / specfun.zeta_half() + 1.0
-        coeff = zs.z2rhos[:used] / denom
-    else:
-        main = -2.0
-        coeff = 1.0 / denom
-    terms = coeff * np.exp(rhos * math.log(x))
-    single = blocked_sum(terms + np.conj(terms))
+    a = _pole_residue(kind)
+    main = -2.0 if a is None else a * math.sqrt(x) / math.gamma(1.5) + 1.0
+    terms = _coefficients(kind, zs, used) / rhos * np.exp(rhos * math.log(x))
+    single = blocked_sum(2.0 * terms.real)
     envelope = 1.0 + x * (abs(math.log(x)) + 1.0) / T
-    return _assemble(main, single, 0.0, T, used, 0, envelope, realify=True)
+    return _assemble(main, single, 0.0, T, used, 0, envelope, hermitian=True)
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +377,9 @@ def explicit_cesaro(kind, x, zs, T=None, d=2):
     """Truncated explicit formula for the weighted partial sum
     (1/(d-1)!) sum_{n <= x} S_d(n) (x - n)^(d-1).
 
-    liouville: main term x^d pi / (4 zeta(1/2)^2 d!), a single sum with
-    coefficient zeta(2 rho)/zeta'(rho), kernel
-    Gamma(rho)/Gamma(rho + d + 1/2) and power x^(rho + d - 1/2), and a
-    double sum with kernel Gamma(rho1)Gamma(rho2)/Gamma(rho1 + rho2 + d)
-    and power x^(rho1 + rho2 + d - 1).
-
-    moebius: the double sum alone with coefficients 1/zeta'(rho),
-    stated for d = 2 only; other d raise.
+    Kernel K(w) = x^(w + d - 1) / Gamma(w + d), so the main term is
+    a^2 x^d / d! = x^d pi / (4 zeta(1/2)^2 d!) for liouville.  moebius
+    has the double sum alone, stated for d = 2 only; other d raise.
 
     d = 2 is the case verified against sieved data at desk scale.  For
     d >= 3 the evaluated series is the (d-2)-fold iterated integral of
@@ -341,31 +398,23 @@ def explicit_cesaro(kind, x, zs, T=None, d=2):
         raise ValueError("x must be positive")
     used, T = _usable(zs, T)
     lx = math.log(x)
-    gam = zs.gammas[:used]
-    rhos = zs.rhos[:used]
-    if kind == KIND_LIOUVILLE:
-        zh = specfun.zeta_half()
-        main = x ** d * math.pi / (4.0 * zh * zh * math.factorial(d))
-        coeff = zs.z2rhos[:used] / zs.zprimes[:used]
-        single_terms = (math.sqrt(math.pi) / zh) * coeff * np.exp(
-            specfun.log_gamma(rhos)
-            - specfun.log_gamma(rhos + (d + 0.5))
-            + (rhos + (d - 0.5)) * lx)
-        single = blocked_sum(single_terms + np.conj(single_terms))
-    else:
-        main = 0.0
-        single = 0j
-        coeff = 1.0 / zs.zprimes[:used]
-    double, pairs = _pair_total(
-        gam, coeff, d, lambda z, lk: np.exp(lk + (z + (d - 1)) * lx),
-        lambda t: d * lx, (main, single), hermitian=True)
+    coeff = _coefficients(kind, zs, used)
+
+    def factor(w, log_kernel):
+        return np.exp(log_kernel + (w + (d - 1)) * lx)
+
+    main, single = _pole_terms(kind, zs.rhos[:used], coeff, d, factor,
+                               hermitian=True)
+    double, pairs = _pair_total(zs.gammas[:used], coeff, d, factor,
+                                lambda t: d * lx, (main, single),
+                                hermitian=True)
     if kind == KIND_LIOUVILLE:
         tail = x ** (d - 1)
     else:
         tail = x ** (d - 2 + ENV_EPS)
     envelope = x ** (d - 0.5 + ENV_EPS) + tail
     return _assemble(main, single, double, T, used, pairs, envelope,
-                     realify=True)
+                     hermitian=True)
 
 
 # ---------------------------------------------------------------------------
@@ -385,48 +434,14 @@ def dirichlet_direct(series: ConvolutionSeries, s, N):
     return blocked_sum(terms)
 
 
-def _pole_gaps(gam, s, singles):
-    """Smallest |denominator| the zero expansion will divide by.
-
-    Checks rho1 + rho2 - s over every sign pattern (imaginary part
-    +-(g_i + g_j) or +-(g_i - g_j) against Im s) and, when singles is
-    true, rho - s + 1/2 as well.  Both denominators share the real part
-    1 - Re s, so only the closest imaginary match matters.
-    """
-    if gam.size == 0:
-        return math.inf
-    t = abs(float(s.imag))
-    best = math.inf
-    # closest pair sum to t: two pointers over the sorted ordinates
-    i, j = 0, gam.size - 1
-    while i <= j:
-        val = float(gam[i] + gam[j])
-        best = min(best, abs(val - t))
-        if val < t:
-            i += 1
-        else:
-            j -= 1
-    # closest pair difference to t: for each ordinate look near g + t
-    idx = np.searchsorted(gam, gam + t)
-    for k in range(gam.size):
-        for cand in (idx[k] - 1, idx[k]):
-            if 0 <= cand < gam.size:
-                best = min(best, abs(abs(float(gam[cand] - gam[k])) - t))
-    if singles:
-        best = min(best, float(np.min(np.abs(gam - t))))
-    return math.hypot(1.0 - float(s.real), best)
-
-
 def dirichlet_explicit(kind, s, zs, T=None):
-    """Zero expansion of the Dirichlet series of S(n), Re s > 1.
+    """Zero expansion of the Dirichlet series of S(n), Re s > 1 + 1e-6.
 
-    liouville: s(s+1) pi / (8 zeta(1/2)^2 (1-s))
-        + sqrt(pi) s(s+1)/zeta(1/2) * sum of zeta(2 rho) Gamma(rho)
-          / (zeta'(rho) Gamma(rho+5/2) (rho - s + 1/2))
-        + s(s+1) * double sum of c(rho1) c(rho2) Gamma(rho1) Gamma(rho2)
-          / (Gamma(rho1+rho2+2) (rho1 + rho2 - s)),
-    with c(rho) = zeta(2 rho)/zeta'(rho).  moebius keeps the double sum
-    alone with c(rho) = 1/zeta'(rho).
+    Kernel K(w) = s(s+1) / (Gamma(w + 2) (w - s)); for liouville the
+    main term is a^2 K(1) = s(s+1) pi / (8 zeta(1/2)^2 (1 - s)), and
+    moebius keeps the double sum alone.  Every denominator of the
+    expansion (1 - s, rho1 + rho2 - s and rho + 1/2 - s) has modulus at
+    least Re s - 1, so the domain rule alone keeps them off zero.
 
     The error term O(|s(s+1)| / (Re s - 1/2 - eps)) of this expansion
     does not shrink with T, so agreement with dirichlet_direct is a
@@ -436,39 +451,26 @@ def dirichlet_explicit(kind, s, zs, T=None):
     """
     _check_kind(kind)
     s = complex(s)
-    if not (s.real > 1.0 and abs(s - 1.0) > 1e-6):
-        raise ValueError("need Re s > 1 with |s - 1| > 1e-6")
+    if not s.real > 1.0 + 1e-6:
+        raise ValueError("need Re s > 1 + 1e-6")
     used, T = _usable(zs, T)
-    realify = s.imag == 0.0
-    gam = zs.gammas[:used]
-    rhos = zs.rhos[:used]
-    gap = _pole_gaps(gam, s, singles=(kind == KIND_LIOUVILLE))
-    if gap < POLE_TOL:
-        raise ValueError(
-            f"s={s} sits within {gap:.3e} of an expansion pole")
+    hermitian = s.imag == 0.0
+    coeff = _coefficients(kind, zs, used)
     pref = s * (s + 1.0)
-    zh = specfun.zeta_half()
-    if kind == KIND_LIOUVILLE:
-        main = pref * math.pi / (8.0 * zh * zh * (1.0 - s))
-        coeff = zs.z2rhos[:used] / zs.zprimes[:used]
-        gk = np.exp(specfun.log_gamma(rhos)
-                    - specfun.log_gamma(rhos + 2.5))
-        cpre = (math.sqrt(math.pi) / zh) * pref
-        plus = cpre * coeff * gk / (rhos - s + 0.5)
-        minus = cpre * np.conj(coeff * gk) / (np.conj(rhos) - s + 0.5)
-        single = blocked_sum(plus + minus)
-    else:
-        main = 0j
-        single = 0j
-        coeff = 1.0 / zs.zprimes[:used]
+
+    def factor(w, log_kernel):
+        return pref * np.exp(log_kernel) / (w - s)
+
+    main, single = _pole_terms(kind, zs.rhos[:used], coeff, 2.0, factor,
+                               hermitian)
     log_pref = math.log(abs(pref))
     double, pairs = _pair_total(
-        gam, coeff, 2.0, lambda z, lk: pref * np.exp(lk) / (z - s),
+        zs.gammas[:used], coeff, 2.0, factor,
         lambda t: log_pref - np.log(np.hypot(s.real - 1.0, t - s.imag)),
-        (main, single), hermitian=realify)
+        (main, single), hermitian)
     envelope = abs(pref) / (s.real - 0.5 - ENV_EPS)
     return _assemble(main, single, double, T, used, pairs, envelope,
-                     realify=realify)
+                     hermitian)
 
 
 # ---------------------------------------------------------------------------
@@ -497,14 +499,12 @@ def exponential_direct(series: ConvolutionSeries, y, N):
 def exponential_explicit(kind, y, zs, T=None):
     """Zero expansion of sum S(n) e^(-n y); the double sum factors.
 
-    liouville: pi / (4 zeta(1/2)^2 y)
-        + sqrt(pi)/zeta(1/2) * sum of c(rho) Gamma(rho) y^(-rho-1/2)
-        + (sum of c(rho) Gamma(rho) y^(-rho))^2,
-    c(rho) = zeta(2 rho)/zeta'(rho).  moebius keeps the squared sum
-    alone with c(rho) = 1/zeta'(rho).
-
-    double_sum is literally the square of the inner single sum, so no
-    pair enumeration happens and pair_terms stays 0.
+    Kernel K(w) = y^(-w), with no Gamma factor, so the main term is
+    a^2 / y = pi / (4 zeta(1/2)^2 y) for liouville and K is
+    multiplicative: double_sum is literally the square of the inner
+    sum of c(rho) Gamma(rho) y^(-rho) over rho and conj rho, no pair
+    enumeration happens and pair_terms stays 0.  moebius keeps the
+    squared sum alone.  Every term is real by construction.
     """
     _check_kind(kind)
     y = float(y)
@@ -512,26 +512,18 @@ def exponential_explicit(kind, y, zs, T=None):
         raise ValueError("y must be positive")
     used, T = _usable(zs, T)
     rhos = zs.rhos[:used]
+    coeff = _coefficients(kind, zs, used)
     ly = math.log(y)
-    if kind == KIND_LIOUVILLE:
-        zh = specfun.zeta_half()
-        main = math.pi / (4.0 * zh * zh * y)
-        coeff = zs.z2rhos[:used] / zs.zprimes[:used]
-    else:
-        main = 0.0
-        coeff = 1.0 / zs.zprimes[:used]
-    lg = specfun.log_gamma(rhos)
-    inner = float(blocked_sum(2.0 * (coeff * np.exp(lg - rhos * ly)).real))
-    if kind == KIND_LIOUVILLE:
-        single = float(blocked_sum(
-            2.0 * ((math.sqrt(math.pi) / specfun.zeta_half()) * coeff
-                   * np.exp(lg + (-rhos - 0.5) * ly)).real))
-    else:
-        single = 0.0
-    double = inner * inner
+
+    def factor(w, log_kernel):
+        return np.exp(log_kernel - w * ly)
+
+    main, single = _pole_terms(kind, rhos, coeff, None, factor,
+                               hermitian=True)
+    inner = _single_total(rhos, coeff, 0.0, None, factor, hermitian=True)
     envelope = y ** (-0.5 - ENV_EPS) + 1.0
-    return _assemble(main, single, double, T, used, 0, envelope,
-                     realify=False)
+    return _assemble(main, single, inner * inner, T, used, 0, envelope,
+                     hermitian=True)
 
 
 # ---------------------------------------------------------------------------
@@ -561,10 +553,7 @@ def double_series_diagnostic(zs, k, coeff_kind, K):
     if k <= 0.5:
         raise ValueError("absolute convergence needs k > 1/2")
     gam = zs.gammas[:K]
-    if coeff_kind == KIND_LIOUVILLE:
-        cabs = np.abs(zs.z2rhos[:K] / zs.zprimes[:K])
-    else:
-        cabs = np.abs(1.0 / zs.zprimes[:K])
+    cabs = np.abs(_coefficients(coeff_kind, zs, K))
     shift = 1.0 + k
     # i <= j, so the pairs of the K'-zero set are those with j < K'
     ii, jj = _pair_layout(K)
@@ -657,12 +646,6 @@ def make_polynomial_weight(a, b, eta, power=2):
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
-def _moment_integral(w: WeightSpec, z):
-    """I(z) = integral_a^b f''(w) w^(z+1) dw for an array of z."""
-    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    return np.asarray(w.moments(z), dtype=np.complex128)
 
 
 def _abs_moment(w: WeightSpec, p):
@@ -835,16 +818,12 @@ def weighted_average_rhs(kind, w: WeightSpec, table: SieveTable, zs=None,
     weighted_average_direct to rounding.
 
     mode="explicit-formula" returns an ExplicitBreakdown.  With
-    I(z) = int f''(w) w^(z+1) dw,
-
-    liouville: main  pi eta^(d-1) / (4 zeta(1/2)^2 d!) * I(d-1),
-        single  sqrt(pi)/zeta(1/2) * sum c(rho) Gamma(rho)
-                / Gamma(rho+d+1/2) * eta^(rho+d-3/2) * I(rho+d-3/2),
-        double  sum over pairs of c(rho1) c(rho2) Gamma(rho1)Gamma(rho2)
-                / Gamma(rho1+rho2+2) * eta^(rho1+rho2+d-2)
-                * I(rho1+rho2+d-2),
-    c(rho) = zeta(2 rho)/zeta'(rho); moebius keeps the double sum alone
-    with c = 1/zeta'.  When eta*a >= 1 the boundary term is computed
+    I(z) = int f''(w) w^(z+1) dw, the kernel is
+    K(u) = eta^(u+d-2) I(u+d-2) / Gamma(u + d) in the main term
+    a^2 K(1) = pi eta^(d-1) I(d-1) / (4 zeta(1/2)^2 d!) and the single
+    sum, while the double sum divides by Gamma(u + 2) instead; the two
+    agree at d = 2.  moebius keeps the double sum alone.  When
+    eta*a >= 1 the boundary term is computed
     exactly from the table and folded into main_term, keeping the
     total-sum invariant.  Only d = 2 is numerically confirmed as an
     asymptotic for these exponents; see explicit_cesaro on the d >= 3
@@ -861,25 +840,15 @@ def weighted_average_rhs(kind, w: WeightSpec, table: SieveTable, zs=None,
     if zs is None:
         raise ValueError("explicit-formula mode needs a zero set")
     used, T = _usable(zs, T)
-    gam = zs.gammas[:used]
-    rhos = zs.rhos[:used]
+    coeff = _coefficients(kind, zs, used)
     leta = math.log(w.eta)
-    if kind == KIND_LIOUVILLE:
-        zh = specfun.zeta_half()
-        main = (math.pi * w.eta ** (d - 1)
-                / (4.0 * zh * zh * math.factorial(d))) \
-            * complex(_moment_integral(w, d - 1.0)[0])
-        coeff = zs.z2rhos[:used] / zs.zprimes[:used]
-        plus = (math.sqrt(math.pi) / zh) * coeff * np.exp(
-            specfun.log_gamma(rhos)
-            - specfun.log_gamma(rhos + (d + 0.5))
-            + (rhos + (d - 1.5)) * leta) \
-            * _moment_integral(w, rhos + (d - 1.5))
-        single = blocked_sum(plus + np.conj(plus))
-    else:
-        main = 0j
-        single = 0j
-        coeff = 1.0 / zs.zprimes[:used]
+
+    def factor(u, log_kernel):
+        return np.exp(log_kernel + (u + (d - 2)) * leta) \
+            * w.moments(u + (d - 2.0))
+
+    main, single = _pole_terms(kind, zs.rhos[:used], coeff, d, factor,
+                               hermitian=True)
     if w.boundary_applies:
         top = int(math.floor(w.eta * w.b)) + 1
         if not math.isfinite(w.b) or top > table.limit:
@@ -894,12 +863,10 @@ def weighted_average_rhs(kind, w: WeightSpec, table: SieveTable, zs=None,
     mixed_abs = _abs_moment(w, float(d))
     log_mom = math.log(mixed_abs) if mixed_abs > 0.0 else -math.inf
     double, pairs = _pair_total(
-        gam, coeff, 2.0,
-        lambda z, lk: np.exp(lk + (z + (d - 2)) * leta)
-        * _moment_integral(w, z + (d - 2.0)),
+        zs.gammas[:used], coeff, 2.0, factor,
         lambda t: (d - 2) * leta + log_mom, (main, single), hermitian=True)
     envelope = (w.eta ** (d - 1.5 + ENV_EPS)
                 * _abs_moment(w, d - 0.5 + ENV_EPS)
                 + w.eta ** (d - 2) * _abs_moment(w, float(d - 1)))
     return _assemble(main, single, double, T, used, pairs, envelope,
-                     realify=True)
+                     hermitian=True)

@@ -35,6 +35,8 @@ def test_usage_errors_exit_2(tmp_path, cache80):
     assert cli.main(["verify", "weighted", "--weight", "3:2:10"]) == 2
     assert cli.main(["verify", "dirichlet", "--zeros", cache80,
                      "--s", "0.5"]) == 2
+    assert cli.main(["verify", "dirichlet", "--zeros", cache80,
+                     "--s", "1.0000001,5"]) == 2
     assert cli.main(["verify", "exponential", "--zeros", cache80,
                      "--limit", "100", "--y", "0.01"]) == 2
     assert cli.main(["verify", "weighted", "--weight", "0:2:600",

@@ -131,6 +131,70 @@ def _brute_pair_terms(zsub, coeff, shift, factor):
     return terms
 
 
+def _brute_single_terms(zsub, coeff, offset, shift, factor):
+    """c(z) Gamma(z) / Gamma(z + offset + shift) * factor(z + offset) over
+    z = rho and conj rho of every zero; shift None drops the denominator."""
+    terms = []
+    for k in range(len(zsub)):
+        for sign in (1, -1):
+            z = 0.5 + sign * 1j * zsub.gammas[k]
+            c = coeff[k] if sign > 0 else np.conj(coeff[k])
+            log_kernel = loggamma(z)
+            if shift is not None:
+                log_kernel -= loggamma(z + offset + shift)
+            terms.append(complex(c * factor(z + offset)
+                                 * np.exp(log_kernel)))
+    return terms
+
+
+@pytest.mark.parametrize("case", ["cesaro-2", "cesaro-3", "dirichlet",
+                                  "exponential", "exponential-inner",
+                                  "weighted-2", "weighted-3"])
+def test_single_sums_brute(lio_10k, zs1000, case):
+    """Every single sum is 2a * sum of c Gamma K(rho + 1/2), with the pole
+    residue a = Gamma(1/2) / (2 zeta(1/2)) and the formula's kernel K."""
+    zsub = zeros.truncate(zs1000, count=12)
+    coeff = zsub.z2rhos / zsub.zprimes
+    a = math.sqrt(math.pi) / (2.0 * float(mpmath.zeta(0.5)))
+    kind = sieve.KIND_LIOUVILLE
+    name, _, d = case.partition("-")
+    offset = 0.5
+    if name == "cesaro":
+        d, x = int(d), 900.0
+        got = explicit.explicit_cesaro(kind, x, zsub, d=d).single_sum
+        terms = _brute_single_terms(zsub, coeff, offset, d,
+                                    lambda u: x ** (u + d - 1))
+    elif name == "dirichlet":
+        s = 3.0 + 1.0j
+        got = explicit.dirichlet_explicit(kind, s, zsub).single_sum
+        terms = _brute_single_terms(zsub, coeff, offset, 2.0,
+                                    lambda u: s * (s + 1.0) / (u - s))
+    elif name == "exponential":
+        y = 0.05
+        bd = explicit.exponential_explicit(kind, y, zsub)
+        got = bd.single_sum
+        if d == "inner":
+            got = bd.double_sum
+            offset = 0.0
+        terms = _brute_single_terms(zsub, coeff, offset, None,
+                                    lambda u: y ** (-u))
+    else:
+        d = int(d)
+        w = explicit.make_polynomial_weight(0.5, 3.0, 50.0, power=3)
+        got = explicit.weighted_average_rhs(
+            kind, w, lio_10k, zs=zsub, d=d,
+            mode="explicit-formula").single_sum
+        terms = _brute_single_terms(
+            zsub, coeff, offset, d, lambda u: w.eta ** (u + d - 2)
+            * complex(w.moments(np.array([u + d - 2.0]))[0]))
+    brute = complex(math.fsum(t.real for t in terms),
+                    math.fsum(t.imag for t in terms))
+    want = brute * brute if offset == 0.0 else 2.0 * a * brute
+    if name != "dirichlet":
+        want = want.real
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 def test_pair_term_against_mpmath(rng):
     """One engine term c1 c2 Gamma(z1) Gamma(z2) / Gamma(z1 + z2 + shift)."""
     gammas = np.sort(rng.uniform(14.0, 80.0, 20))
@@ -248,6 +312,14 @@ def test_dirichlet_domain_and_pole_guards(zs1000):
     near_pole = (1.0 + 1e-9) + 1j * float(zs1000.gammas[0])
     with pytest.raises(ValueError):
         explicit.dirichlet_explicit(sieve.KIND_LIOUVILLE, near_pole, zs1000)
+    # every expansion denominator has modulus >= Re s - 1, so the domain
+    # rule Re s > 1 + 1e-6 alone keeps them off zero
+    with pytest.raises(ValueError, match=r"Re s > 1 \+ 1e-6"):
+        explicit.dirichlet_explicit(sieve.KIND_LIOUVILLE, 1.0 + 1e-7 + 5j,
+                                    zs1000)
+    bd = explicit.dirichlet_explicit(sieve.KIND_LIOUVILLE, 1.0 + 2e-6 + 5j,
+                                     zeros.truncate(zs1000, count=50))
+    assert math.isfinite(abs(bd.total))
 
 
 def test_exponential_direct_needs_decayed_tail(lio_series_10k):
