@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Compare the verify reports of two source trees of the package.
 
-Each tree runs the same 13 `verify` cases (every target at small sizes,
-plus `dfold --d 4`, `dirichlet --s 3` and `weighted --d 3` with zeros)
-in its own interpreter, against one shared 80-zero cache, inside a
+Each tree runs the same 15 `verify` cases (every target at small sizes,
+plus `dfold --d 4`, `dirichlet --s 3` and `weighted --d 3` with zeros,
+and L and M at 3e6, where the sieve tables span several segments) in
+its own interpreter, against one shared 80-zero cache, inside a
 temporary directory.  For each case the script prints "identical" when
 the two CSV reports match byte for byte.  Otherwise it prints each
 moved column with its largest |change| over
@@ -44,6 +45,10 @@ CASES = {
                           "--weight", "1.5:2.5:30:3"],
     "weighted": ["weighted", "--limit", "2000", "--weight", "0:2.5:40"],
     "identity": ["identity", "--limit", "1024", "--trials", "2"],
+    "L-segments": ["L", Z, "--limit", "3000000",
+                   "--samples", "log:5:1000:3000000"],
+    "M-segments": ["M", Z, "--limit", "3000000",
+                   "--samples", "log:5:1000:3000000"],
 }
 SCALE_PREFIXES = ("main", "single", "double", "direct", "total")
 

@@ -704,6 +704,10 @@ def _cmd_sieve(cfg):
                  "growth_diagnostic": growth})
     print(f"sieve: {kind} up to {cfg.limit}, prefix[{cfg.limit}] = "
           f"{int(table.prefix[cfg.limit])} -> {out} (+ {manifest})")
+    if growth > 3.0:
+        print(f"invariant failure: summatory growth ratio {growth:.3f} "
+              f"exceeds 3", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -1,17 +1,20 @@
 """Liouville and Moebius tables plus their summatory functions.
 
-Tables are built segment by segment with an exact prime-power sieve:
-for every prime p <= sqrt(N) the multiples of each power p^k get their
-factor counts bumped and the factored part multiplied up, so the
-cofactor n / (factored part) exposes the at-most-one remaining prime
-above sqrt(N).  All arithmetic is integer; no floating point enters the
-table values.  A monolithic build is just a single segment, which is
-what makes the segmented-equals-monolithic guarantee trivial to keep.
+Every table is built in one pass over fixed segments of _SEGMENT
+entries with an exact prime-power sieve: for every prime p <= sqrt(N)
+each power p^k adds 1 to Omega(n) on its multiples and multiplies p
+into their factored part, and each power with k >= 2 marks its
+multiples as not squarefree.  The cofactor n / (factored part) is then
+1 or the one remaining prime above sqrt(N).  lambda(n) = (-1)^Omega(n),
+and mu(n) is lambda(n) on squarefree n and 0 elsewhere.  All arithmetic
+is integer; no floating point enters the table values, and no step
+holds more than one segment of working arrays.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,14 +32,15 @@ __all__ = [
 KIND_LIOUVILLE = "liouville"
 KIND_MOEBIUS = "moebius"
 
-# values (int8) + prefix (int64) cost 9 bytes per entry; the build also
-# keeps ~17 bytes per entry of one segment alive.  2e8 entries ~ 1.8 GB.
+# values (int8) + prefix (int64) cost 9 bytes per entry of the finished
+# table; on top of that the build and the load keep one working segment
+# of _SEGMENT entries (at most ~40 bytes each) alive.  2e8 entries ~ 1.8 GB.
 MEMORY_LIMIT = 200_000_000
 
-_SEGMENT_THRESHOLD = 10_000_000
-_DEFAULT_SEGMENT = 1 << 22
+_SEGMENT = 1 << 20
 
 _MAGIC = {KIND_LIOUVILLE: b"LAMBDATBL", KIND_MOEBIUS: b"MOEBSTBL\x00"}
+_ALLOWED = {KIND_LIOUVILLE: (-1, 1), KIND_MOEBIUS: (-1, 0, 1)}
 _FORMAT_VERSION = 1
 
 
@@ -70,56 +74,51 @@ def _small_primes(limit: int) -> np.ndarray:
 
 
 def _sieve_segment(kind: str, lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
-    """Exact values of lambda or mu on [lo, hi], both ends inclusive."""
-    size = hi - lo + 1
-    n_vals = np.arange(lo, hi + 1, dtype=np.int64)
+    """Exact values of lambda or mu on [lo, hi)."""
+    size = hi - lo
+    big_omega = np.zeros(size, dtype=np.int8)  # Omega(n) < 28 below 2e8
     factored = np.ones(size, dtype=np.int64)
-
-    if kind == KIND_LIOUVILLE:
-        big_omega = np.zeros(size, dtype=np.int64)
-        for p in primes:
-            pk = int(p)
-            while pk <= hi:
-                start = ((lo + pk - 1) // pk) * pk - lo
-                big_omega[start::pk] += 1
-                factored[start::pk] *= int(p)
-                if pk > hi // int(p):
-                    break
-                pk *= int(p)
-        big_omega += (n_vals // factored) > 1
-        out = np.where(big_omega & 1, -1, 1).astype(np.int8)
-        if lo <= 1 <= hi:
-            out[1 - lo] = 1
-        return out
-
-    omega = np.zeros(size, dtype=np.int64)
-    squarish = np.zeros(size, dtype=bool)
-    for p in primes:
-        p = int(p)
-        start = ((lo + p - 1) // p) * p - lo
-        omega[start::p] += 1
-        factored[start::p] *= p
-        p2 = p * p
-        if p2 <= hi:
-            start = ((lo + p2 - 1) // p2) * p2 - lo
-            squarish[start::p2] = True
-    omega += (n_vals // factored) > 1
-    out = np.where(omega & 1, -1, 1).astype(np.int8)
-    out[squarish] = 0
-    if lo <= 1 <= hi:
-        out[1 - lo] = 1
-    return out
+    squarefree = np.ones(size, dtype=bool)
+    for p in primes.tolist():
+        pk, k = p, 1
+        while (start := -lo % pk) < size:  # some multiple of p^k in range
+            big_omega[start::pk] += 1
+            factored[start::pk] *= p
+            if k >= 2:
+                squarefree[start::pk] = False
+            pk, k = pk * p, k + 1
+    big_omega += np.arange(lo, hi, dtype=np.int64) // factored > 1
+    out = 1 - 2 * (big_omega & 1)
+    return out * squarefree if kind == KIND_MOEBIUS else out
 
 
-def build_sieve(kind: str, limit: int, segment_size: int | None = None) -> SieveTable:
+def _segments(lo: int, limit: int):
+    """Half-open bounds [a, b) of consecutive _SEGMENT runs over lo..limit."""
+    for a in range(lo, limit + 1, _SEGMENT):
+        yield a, min(a + _SEGMENT, limit + 1)
+
+
+def _freeze(kind: str, limit: int, segment) -> SieveTable:
+    """Read-only table with values[a:b] = segment(a, b) for each segment
+    of 1..limit; the running sums are formed segment by segment."""
+    values = np.zeros(limit + 1, dtype=np.int8)
+    prefix = np.zeros(limit + 1, dtype=np.int64)
+    for a, b in _segments(1, limit):
+        values[a:b] = segment(a, b)
+        np.cumsum(values[a:b], dtype=np.int64, out=prefix[a:b])
+        prefix[a:b] += prefix[a - 1]
+    values.setflags(write=False)
+    prefix.setflags(write=False)
+    return SieveTable(kind=kind, limit=limit, values=values, prefix=prefix)
+
+
+def build_sieve(kind: str, limit: int) -> SieveTable:
     """Build the full table for 1..limit.
 
     Args:
         kind: "liouville" or "moebius".
         limit: table size N >= 1; at most MEMORY_LIMIT (9 bytes/entry
             held in the result plus one working segment).
-        segment_size: force a segment length; None picks monolithic
-            construction for small N and ~4M-entry segments above that.
 
     Raises:
         ValueError: unknown kind, N = 0, or N over the memory budget.
@@ -134,19 +133,9 @@ def build_sieve(kind: str, limit: int, segment_size: int | None = None) -> Sieve
             f"entries (~9 bytes each in the finished table); raise "
             f"sieve.MEMORY_LIMIT explicitly if you have the RAM")
 
-    if segment_size is None:
-        segment_size = limit if limit <= _SEGMENT_THRESHOLD else _DEFAULT_SEGMENT
-    segment_size = max(1, int(segment_size))
-
     primes = _small_primes(int(math.isqrt(limit)))
-    values = np.zeros(limit + 1, dtype=np.int8)
-    for lo in range(1, limit + 1, segment_size):
-        hi = min(lo + segment_size - 1, limit)
-        values[lo:hi + 1] = _sieve_segment(kind, lo, hi, primes)
-    prefix = np.cumsum(values, dtype=np.int64)
-    values.setflags(write=False)
-    prefix.setflags(write=False)
-    return SieveTable(kind=kind, limit=limit, values=values, prefix=prefix)
+    return _freeze(kind, limit,
+                   lambda a, b: _sieve_segment(kind, a, b, primes))
 
 
 def summatory(table: SieveTable, x) -> int:
@@ -165,19 +154,15 @@ def summatory(table: SieveTable, x) -> int:
 
 
 def growth_diagnostic(table: SieveTable) -> float:
-    """Largest |prefix[k]| / k^0.6 over 100 <= k <= N.
+    """Largest |prefix[k]| / k^0.6 over 100 <= k <= N (0.0 below N = 100).
 
     Desk-scale sanity check that the summatory function is far below the
     trivial bound; values above 3 indicate a broken table.
     """
-    if table.limit < 100:
-        return 0.0
-    k = np.arange(100, table.limit + 1, dtype=np.float64)
-    ratio = np.abs(table.prefix[100:]) / k ** 0.6
-    worst = float(ratio.max())
-    if worst > 3.0:
-        raise AssertionError(
-            f"summatory growth diagnostic failed: max ratio {worst:.3f}")
+    worst = 0.0
+    for a, b in _segments(100, table.limit):
+        k = np.arange(a, b, dtype=np.float64)
+        worst = max(worst, float((np.abs(table.prefix[a:b]) / k ** 0.6).max()))
     return worst
 
 
@@ -189,11 +174,17 @@ def dump_table(table: SieveTable, path) -> None:
     assert len(header) == 16
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(table.values[1:].tobytes())
+        fh.write(table.values[1:])
 
 
 def load_table(path) -> SieveTable:
-    """Read a table written by dump_table; prefix sums are rebuilt."""
+    """Read a table written by dump_table; prefix sums are rebuilt.
+
+    Rejects a bad header, a body shorter or longer than the header's
+    limit, values outside {-1, 1} (lambda) or {-1, 0, 1} (mu), and a
+    value at n = 1 other than 1.  The format has no checksum, so a
+    flipped sign still loads.
+    """
     with open(path, "rb") as fh:
         header = fh.read(16)
         if len(header) != 16:
@@ -204,14 +195,17 @@ def load_table(path) -> SieveTable:
             raise ValueError(f"bad magic {magic!r}")
         if version != _FORMAT_VERSION:
             raise ValueError(f"unsupported table version {version}")
-        limit = int.from_bytes(header[10:16], "little")
-        body = fh.read(limit)
-        if len(body) != limit:
-            raise ValueError("truncated table body")
-    values = np.zeros(limit + 1, dtype=np.int8)
-    values[1:] = np.frombuffer(body, dtype=np.int8)
-    prefix = np.cumsum(values, dtype=np.int64)
-    values.setflags(write=False)
-    prefix.setflags(write=False)
-    return SieveTable(kind=kinds[magic], limit=limit, values=values,
-                      prefix=prefix)
+        kind, limit = kinds[magic], int.from_bytes(header[10:16], "little")
+        body = os.fstat(fh.fileno()).st_size - 16
+        if body != limit:
+            raise ValueError(f"table body has {body} bytes, header says "
+                             f"{limit}")
+        table = _freeze(kind, limit, lambda a, b: np.frombuffer(
+            fh.read(b - a), dtype=np.int8))
+    for a, b in _segments(1, limit):
+        if not np.isin(table.values[a:b], _ALLOWED[kind]).all():
+            raise ValueError(
+                f"{kind} table holds a value outside {_ALLOWED[kind]}")
+    if limit < 1 or table.values[1] != 1:
+        raise ValueError("table value at n = 1 must be 1")
+    return table

@@ -14,6 +14,7 @@ from time import perf_counter
 import numpy as np
 
 from liouconv import convolve, explicit, sieve, specfun, zeros
+from oracles import laplace_convolution_exact
 
 
 def test_criterion_01_sieve_identities(criterion):
@@ -89,7 +90,7 @@ def test_criterion_04_cesaro_laplace_identity(criterion):
                 if x <= 0.0:
                     continue
                 gap = abs(convolve.cesaro_sum(series, x)
-                          - convolve.laplace_convolution_exact(table, x, d))
+                          - laplace_convolution_exact(table, x, d))
                 worst = max(worst, gap / (1.0 + x * x))
     dt = perf_counter() - t0
     ok = worst <= 1e-9 and dt < 60.0

@@ -3,6 +3,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from liouconv import cli, sieve, zeros
@@ -289,6 +290,22 @@ def test_default_artifact_names(tmp_path, monkeypatch):
     assert len(zeros.load_cache("zeros-cache.bin")) == 10
     assert (tmp_path / "sieve-table.bin.manifest.json").exists()
     assert (tmp_path / "zeros-cache.bin.manifest.json").exists()
+
+
+def test_sieve_growth_failure_exits_1(tmp_path, monkeypatch, capsys):
+    """An all-ones table breaks the growth bound: the table and its
+    manifest are still written, and main returns 1 instead of raising."""
+    monkeypatch.setattr(sieve, "_sieve_segment",
+                        lambda kind, lo, hi, primes:
+                        np.ones(hi - lo, dtype=np.int8))
+    table_path = tmp_path / "table.bin"
+    assert cli.main(["sieve", "--limit", "1000",
+                     "--output", str(table_path)]) == 1
+    assert "invariant failure" in capsys.readouterr().err
+    assert sieve.load_table(table_path).prefix[1000] == 1000
+    manifest = json.loads(
+        (tmp_path / "table.bin.manifest.json").read_text())
+    assert manifest["results"]["growth_diagnostic"] > 3.0
 
 
 def test_sieve_and_convolve_artifacts(tmp_path):

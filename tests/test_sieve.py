@@ -1,5 +1,6 @@
 """Sieve tables against an independent linear-sieve construction."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -86,9 +87,11 @@ def test_summatory_floors_its_argument(lio_100k):
 
 
 def test_dump_load_roundtrip(tmp_path):
-    table = sieve.build_sieve(sieve.KIND_MOEBIUS, 3000)
+    limit = 2 * sieve._SEGMENT + 12345    # three segments
+    table = sieve.build_sieve(sieve.KIND_MOEBIUS, limit)
     path = tmp_path / "table.npz"
     sieve.dump_table(table, path)
+    assert path.stat().st_size == 16 + limit
     back = sieve.load_table(path)
     assert back.kind == table.kind
     assert back.limit == table.limit
@@ -96,12 +99,75 @@ def test_dump_load_roundtrip(tmp_path):
     assert np.array_equal(back.prefix, table.prefix)
     assert back.values.dtype == np.int8
     assert back.prefix.dtype == np.int64
+    assert not back.values.flags.writeable
+    assert not back.prefix.flags.writeable
 
 
-def test_segment_size_does_not_change_values():
-    base = sieve.build_sieve(sieve.KIND_LIOUVILLE, 4999)
-    odd = sieve.build_sieve(sieve.KIND_LIOUVILLE, 4999, segment_size=128)
-    assert np.array_equal(base.values, odd.values)
+def _corrupted(tmp_path, kind, limit, edit):
+    """Path of a dumped table whose bytes went through edit(bytearray)."""
+    path = tmp_path / f"{kind}.bin"
+    sieve.dump_table(sieve.build_sieve(kind, limit), path)
+    raw = bytearray(path.read_bytes())
+    edit(raw)
+    path.write_bytes(bytes(raw))
+    return path
+
+
+def _set(offset, value):
+    def edit(raw):
+        raw[16 + offset] = value & 0xFF
+    return edit
+
+
+@pytest.mark.parametrize("kind, edit, message", [
+    (sieve.KIND_LIOUVILLE, lambda raw: raw.extend(b"junk"), "1004 bytes"),
+    (sieve.KIND_LIOUVILLE, lambda raw: raw.pop(), "999 bytes"),
+    (sieve.KIND_LIOUVILLE, _set(11, 5), "outside"),
+    (sieve.KIND_LIOUVILLE, _set(11, 0), "outside"),
+    (sieve.KIND_MOEBIUS, _set(11, 2), "outside"),
+    (sieve.KIND_MOEBIUS, _set(999, -128), "outside"),
+    (sieve.KIND_LIOUVILLE, _set(0, -1), "n = 1"),
+    (sieve.KIND_MOEBIUS, _set(0, 0), "n = 1"),
+], ids=["trailing", "truncated", "lambda-5", "lambda-0", "mu-2", "mu-128",
+        "lambda-at-1", "mu-at-1"])
+def test_load_rejects_corrupt_content(tmp_path, kind, edit, message):
+    path = _corrupted(tmp_path, kind, 1000, edit)
+    with pytest.raises(ValueError, match=message):
+        sieve.load_table(path)
+
+
+def test_load_rejects_corruption_past_the_first_segment(tmp_path,
+                                                        monkeypatch):
+    monkeypatch.setattr(sieve, "_SEGMENT", 128)
+    path = _corrupted(tmp_path, sieve.KIND_LIOUVILLE, 1000, _set(700, 3))
+    with pytest.raises(ValueError, match="outside"):
+        sieve.load_table(path)
+
+
+@pytest.fixture(scope="module")
+def linear_20000():
+    return _linear_sieve(20000)
+
+
+@pytest.mark.parametrize("segment", [1, 7, 128, 1000])
+def test_segment_length_does_not_change_values(monkeypatch, linear_20000,
+                                               segment):
+    lam, mu = linear_20000
+    monkeypatch.setattr(sieve, "_SEGMENT", segment)
+    for kind, want in ((sieve.KIND_LIOUVILLE, lam), (sieve.KIND_MOEBIUS, mu)):
+        table = sieve.build_sieve(kind, 20000)
+        assert np.array_equal(table.values[1:], want[1:])
+        assert np.array_equal(table.prefix,
+                              np.cumsum(want, dtype=np.int64))
+
+
+def test_lambda_pinned_at_1e7():
+    """10^7 spans ten segments; the digest is the one perfbench pins."""
+    table = sieve.build_sieve(sieve.KIND_LIOUVILLE, 10 ** 7)
+    digest = hashlib.sha256(table.values[1:].tobytes()).hexdigest()
+    assert digest == ("335e74f78e3c07376ed9df652c71b700"
+                      "93a808eb7ba779ed99fa9de000ea0d0e")
+    assert sieve.summatory(table, 10 ** 7) == -842
 
 
 def test_growth_diagnostic_stays_small(lio_100k, moe_100k):
