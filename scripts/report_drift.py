@@ -3,11 +3,12 @@
 
 Each tree runs the same 15 `verify` cases (every target at small sizes,
 plus `dfold --d 4`, `dirichlet --s 3` and `weighted --d 3` with zeros,
-and L and M at 3e6, where the sieve tables span several segments) in
-its own interpreter, against one shared 80-zero cache, inside a
-temporary directory.  For each case the script prints "identical" when
-the two CSV reports match byte for byte.  Otherwise it prints each
-moved column with its largest |change| over
+`identity` over six trials, which reach both kinds at d = 2 and 3 and
+the boundary term, and L and M at 3e6, where the sieve tables span
+several segments) in its own interpreter, against one shared 80-zero
+cache, inside a temporary directory.  For each case the script prints
+"identical" when the two CSV reports match byte for byte.  Otherwise it
+prints each moved column with its largest |change| over
 max(1, |main|, |single|, |double|, |direct|, |total|) of the row (the
 old tree's values), each moved summary key with |change| over
 max(1, |old|), and "header differs" or "changed" for anything that is
@@ -44,7 +45,7 @@ CASES = {
     "weighted-zeros-d3": ["weighted", Z, "--limit", "2000", "--d", "3",
                           "--weight", "1.5:2.5:30:3"],
     "weighted": ["weighted", "--limit", "2000", "--weight", "0:2.5:40"],
-    "identity": ["identity", "--limit", "1024", "--trials", "2"],
+    "identity": ["identity", "--limit", "1024", "--trials", "6"],
     "L-segments": ["L", Z, "--limit", "3000000",
                    "--samples", "log:5:1000:3000000"],
     "M-segments": ["M", Z, "--limit", "3000000",

@@ -219,6 +219,9 @@ def _make_config(args):
             merged[key] = flag
         elif key in file_cfg:
             (merged if key in reads else ignored)[key] = file_cfg[key]
+    if args.command == "verify":
+        merged.setdefault("limit", 4096 if args.target == "identity"
+                          else 10000)
     if merged.get("count") is not None and merged.get("T") is not None:
         raise UsageError("give --count or --T, not both")
     fmt = merged.get("format", "csv")
@@ -263,24 +266,21 @@ def _validate(cfg):
             raise UsageError("verify dirichlet needs Re s > 1 + 1e-6")
     if target == "exponential":
         ys = cfg.y or (0.1, 0.05, 0.02, 0.01)
-        limit = cfg.limit or 10000
-        if limit * min(ys) < 20.0:
+        if cfg.limit * min(ys) < 20.0:
             raise UsageError(
-                f"exponential tails need limit*y >= 20; limit {limit} "
+                f"exponential tails need limit*y >= 20; limit {cfg.limit} "
                 f"with y={min(ys)} falls short")
     if target == "weighted":
         if cfg.weight is None:
             raise UsageError("verify weighted needs --weight a:b:eta[:power]")
         a, b, eta, _ = cfg.weight
         need = int(math.floor(eta * b)) + 1
-        limit = cfg.limit or 10000
-        if need > limit:
+        if need > cfg.limit:
             raise UsageError(
-                f"--weight reaches index {need}; raise --limit (now {limit})")
-    if cfg.samples is not None and cfg.limit is not None:
-        if cfg.samples[3] > cfg.limit and target not in ("identity",
-                                                         "weighted"):
-            raise UsageError("sample range exceeds --limit")
+                f"--weight reaches index {need}; raise --limit "
+                f"(now {cfg.limit})")
+    if cfg.samples is not None and cfg.samples[3] > cfg.limit:
+        raise UsageError("sample range exceeds --limit")
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +465,8 @@ def _sweep(axis, points, direct, formula, columns):
 
 def _run_summatory(cfg, zset):
     kind = sieve.KIND_LIOUVILLE if cfg.target == "L" else sieve.KIND_MOEBIUS
-    limit = cfg.limit or 10000
-    table = sieve.build_sieve(kind, limit)
-    grid = _sample_grid(cfg.samples or _default_samples(cfg.target, limit))
+    table = sieve.build_sieve(kind, cfg.limit)
+    grid = _sample_grid(cfg.samples or _default_samples(cfg.target, cfg.limit))
     return _sweep(
         "x", grid, lambda x: sieve.summatory(table, x),
         lambda x: explicit.explicit_summatory(kind, x, zset, T=cfg.T),
@@ -478,10 +477,9 @@ def _run_cesaro(cfg, zset):
     kind = (sieve.KIND_MOEBIUS if cfg.target == "cesaro-mu"
             else sieve.KIND_LIOUVILLE)
     d = (cfg.d or 3) if cfg.target == "dfold" else 2
-    limit = cfg.limit or 10000
-    table = sieve.build_sieve(kind, limit)
-    series = convolve.convolve_fft(table, d, limit)
-    grid = _sample_grid(cfg.samples or _default_samples(cfg.target, limit))
+    table = sieve.build_sieve(kind, cfg.limit)
+    series = convolve.convolve_fft(table, d, cfg.limit)
+    grid = _sample_grid(cfg.samples or _default_samples(cfg.target, cfg.limit))
     return _sweep(
         "x", grid, lambda x: convolve.cesaro_sum(series, x),
         lambda x: explicit.explicit_cesaro(kind, x, zset, T=cfg.T, d=d),
@@ -489,11 +487,10 @@ def _run_cesaro(cfg, zset):
 
 
 def _run_dirichlet(cfg, zset):
-    limit = cfg.limit or 10000
-    table = sieve.build_sieve(sieve.KIND_LIOUVILLE, limit)
-    series = convolve.convolve_fft(table, 2, limit)
+    table = sieve.build_sieve(sieve.KIND_LIOUVILLE, cfg.limit)
+    series = convolve.convolve_fft(table, 2, cfg.limit)
     s = cfg.s
-    direct = explicit.dirichlet_direct(series, s, limit)
+    direct = explicit.dirichlet_direct(series, s, cfg.limit)
     bd = explicit.dirichlet_explicit(sieve.KIND_LIOUVILLE, s, zset, T=cfg.T)
     failures = []
     if s.imag == 0.0:
@@ -524,12 +521,11 @@ def _run_dirichlet(cfg, zset):
 
 
 def _run_exponential(cfg, zset):
-    limit = cfg.limit or 10000
     ys = cfg.y or (0.1, 0.05, 0.02, 0.01)
-    table = sieve.build_sieve(sieve.KIND_LIOUVILLE, limit)
-    series = convolve.convolve_fft(table, 2, limit)
+    table = sieve.build_sieve(sieve.KIND_LIOUVILLE, cfg.limit)
+    series = convolve.convolve_fft(table, 2, cfg.limit)
     cols, summary, failures = _sweep(
-        "y", ys, lambda y: explicit.exponential_direct(series, y, limit),
+        "y", ys, lambda y: explicit.exponential_direct(series, y, cfg.limit),
         lambda y: explicit.exponential_explicit(sieve.KIND_LIOUVILLE, y, zset,
                                                 T=cfg.T),
         ("direct", "main_term", "single_sum", "double_sum", "total",
@@ -548,13 +544,10 @@ def _run_exponential(cfg, zset):
 def _run_weighted(cfg, zset):
     a, b, eta, power = cfg.weight
     d = cfg.d or 2
-    limit = cfg.limit or 10000
-    table = sieve.build_sieve(sieve.KIND_LIOUVILLE, limit)
-    w = explicit.make_polynomial_weight(a, b, eta, power=power)
-    direct = explicit.weighted_average_direct(sieve.KIND_LIOUVILLE, w, table,
-                                              d=d)
-    ident = explicit.weighted_average_rhs(sieve.KIND_LIOUVILLE, w, table,
-                                          d=d, mode="exact-identity")
+    table = sieve.build_sieve(sieve.KIND_LIOUVILLE, cfg.limit)
+    w = explicit.PolynomialWeight(a, b, eta, power=power)
+    direct = explicit.weighted_average_direct(w, table, d=d)
+    ident = explicit.weighted_average_rhs(w, table, d=d)
     rel = abs(direct - ident) / max(1.0, abs(direct))
     failures = []
     if rel > _REL_IDENTITY_TOL:
@@ -572,10 +565,7 @@ def _run_weighted(cfg, zset):
         "identity_ok": rel <= _REL_IDENTITY_TOL,
     }
     if zset is not None:
-        bd = explicit.weighted_average_rhs(sieve.KIND_LIOUVILLE, w, table,
-                                           zs=zset, d=d,
-                                           mode="explicit-formula",
-                                           T=cfg.T)
+        bd = explicit.weighted_average_explicit(w, table, zset, d=d, T=cfg.T)
         worst = _check_realness(bd, failures, "weighted run")
         resid = abs(direct - bd.total)
         for key in ("main_term", "single_sum", "double_sum", "total",
@@ -590,7 +580,6 @@ def _run_weighted(cfg, zset):
 
 
 def _run_identity(cfg, zset):
-    limit = cfg.limit or 4096
     trials = cfg.trials
     rng = np.random.default_rng(_IDENTITY_SEED)
     tables = {}
@@ -604,19 +593,18 @@ def _run_identity(cfg, zset):
         if shape == 0:
             a = 0.0
         elif shape == 1:
-            a = float(rng.uniform(0.05, 0.9))   # keeps eta*a below 1
+            a = float(rng.uniform(0.05, 0.9))   # eta*a mostly still >= 1
         else:
             a = float(rng.uniform(1.0, 4.0))    # boundary term in play
         b = a + float(rng.uniform(1.0, 3.0))
-        eta_hi = (limit - 2) / b
+        eta_hi = (cfg.limit - 2) / b
         eta = float(rng.uniform(min(10.0, eta_hi / 2), min(60.0, eta_hi)))
         power = int(rng.integers(2, 5))
         if kind not in tables:
-            tables[kind] = sieve.build_sieve(kind, limit)
-        w = explicit.make_polynomial_weight(a, b, eta, power=power)
-        direct = explicit.weighted_average_direct(kind, w, tables[kind], d=d)
-        rhs = explicit.weighted_average_rhs(kind, w, tables[kind], d=d,
-                                            mode="exact-identity")
+            tables[kind] = sieve.build_sieve(kind, cfg.limit)
+        w = explicit.PolynomialWeight(a, b, eta, power=power)
+        direct = explicit.weighted_average_direct(w, tables[kind], d=d)
+        rhs = explicit.weighted_average_rhs(w, tables[kind], d=d)
         rel = abs(direct - rhs) / max(1.0, abs(direct))
         if rel > _REL_IDENTITY_TOL:
             failures.append(

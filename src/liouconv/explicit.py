@@ -39,6 +39,13 @@ A formula supplies only F (through factor), the shift and, for the
 double sum, a bound on log |F|; _pole_terms, _single_total and
 _pair_total evaluate the rest.
 
+Weighted averages.  One weight type, PolynomialWeight, stands for
+f(w) = (b - w)^p on [a, b) at scale eta.  weighted_average_rhs restates
+the weighted d-fold sum exactly, as a boundary term plus
+int f''(w) K(eta w) dw with K built from the sieved table;
+weighted_average_explicit expands it over the zeros through the closed
+form of I(z) = int f''(w) w^(z+1) dw.  Both take the kind from the table.
+
 Determinism.  Every floating sum is one math.fsum, which rounds the
 exact total of its terms once.  The result does not depend on the order
 of the terms, so the same inputs always give the same bits.
@@ -48,7 +55,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -58,7 +64,7 @@ from .sieve import KIND_LIOUVILLE, KIND_MOEBIUS, SieveTable
 
 __all__ = [
     "ExplicitBreakdown",
-    "WeightSpec",
+    "PolynomialWeight",
     "blocked_sum",
     "explicit_summatory",
     "explicit_cesaro",
@@ -66,9 +72,9 @@ __all__ = [
     "dirichlet_explicit",
     "exponential_direct",
     "exponential_explicit",
-    "make_polynomial_weight",
     "weighted_average_direct",
     "weighted_average_rhs",
+    "weighted_average_explicit",
     "double_series_diagnostic",
 ]
 
@@ -573,29 +579,56 @@ def double_series_diagnostic(zs, k, coeff_kind, K):
 
 
 @dataclass(frozen=True)
-class WeightSpec:
-    """A C^2 weight f supported on [a, b) and its second derivative.
+class PolynomialWeight:
+    """Weight f(w) = (b - w)^power on [a, b), zero elsewhere.
 
-    f and f_second are vectorized evaluators returning 0 outside
-    [a, b); f(b-) = f'(b-) = 0 is the caller's responsibility.
-    moments is the closed form of I(z) = integral_a^b f''(w) w^(z+1) dw
-    for complex z, vectorized.
+    power >= 2 keeps f(b-) = f'(b-) = 0.  f'' = p(p-1)(b - w)^(p-2) is
+    nonnegative on [a, b), so every absolute moment int |f''| w^p dw an
+    envelope needs is the moment I(p - 1) itself.
     """
 
     a: float
     b: float
     eta: float
-    f: Callable
-    f_second: Callable
-    moments: Callable
+    power: int = 2
 
     def __post_init__(self):
-        if not self.a < self.b:
-            raise ValueError("need a < b")
-        if self.a < 0.0:
-            raise ValueError("a must be nonnegative")
-        if not (self.eta > 0.0 and math.isfinite(self.eta)):
+        for name, cast in (("a", float), ("b", float), ("eta", float),
+                           ("power", int)):
+            object.__setattr__(self, name, cast(getattr(self, name)))
+        if not 0.0 <= self.a < self.b < math.inf:
+            raise ValueError("need 0 <= a < b < inf")
+        if not 0.0 < self.eta < math.inf:
             raise ValueError("eta must be a positive finite real")
+        if self.power < 2:
+            raise ValueError(
+                "power must be at least 2 so f and f' vanish at b")
+
+    def f(self, w):
+        w = np.asarray(w, dtype=np.float64)
+        return np.where((w >= self.a) & (w < self.b),
+                        (self.b - w) ** self.power, 0.0)
+
+    def f_second(self, w):
+        w = np.asarray(w, dtype=np.float64)
+        p = self.power
+        return np.where((w >= self.a) & (w < self.b),
+                        p * (p - 1) * (self.b - w) ** (p - 2), 0.0)
+
+    def moments(self, z):
+        """I(z) = int_a^b f''(w) w^(z+1) dw for complex z, vectorized, in
+        closed form by expanding (b - w)^(power-2) binomially."""
+        z = np.asarray(z, dtype=np.complex128)
+        p = self.power
+        log_a = math.log(self.a) if self.a > 0.0 else None
+        log_b = math.log(self.b)
+        out = np.zeros(z.shape, dtype=np.complex128)
+        for k in range(p - 1):
+            ck = math.comb(p - 2, k) * (-1.0) ** k * self.b ** (p - 2 - k)
+            e = z + (2.0 + k)
+            lower = 0.0 if log_a is None else np.exp(e * log_a)
+            out = out + ck * (np.exp(e * log_b) - lower) / e
+        return p * (p - 1) * out
 
     @property
     def boundary_applies(self):
@@ -603,75 +636,35 @@ class WeightSpec:
         return self.eta * self.a >= 1.0
 
 
-def make_polynomial_weight(a, b, eta, power=2):
-    """Weight f(w) = (b - w)^power on [a, b), zero elsewhere.
-
-    power >= 2 keeps f(b-) = f'(b-) = 0.  Moments come in closed form
-    by expanding (b - w)^(power-2) binomially, for a = 0 and a > 0 alike.
-    """
-    a = float(a)
-    b = float(b)
-    power = int(power)
-    if power < 2:
-        raise ValueError("power must be at least 2 so f and f' vanish at b")
-    if not math.isfinite(b):
-        raise ValueError("polynomial weights need a finite b")
-
-    def f(w):
-        w = np.asarray(w, dtype=np.float64)
-        return np.where((w >= a) & (w < b), (b - w) ** power, 0.0)
-
-    def f_second(w):
-        w = np.asarray(w, dtype=np.float64)
-        return np.where((w >= a) & (w < b),
-                        power * (power - 1) * (b - w) ** (power - 2), 0.0)
-
-    log_b = math.log(b)
-    log_a = math.log(a) if a > 0.0 else None
-
-    def moments(z):
-        z = np.asarray(z, dtype=np.complex128)
-        out = np.zeros(z.shape, dtype=np.complex128)
-        for k in range(power - 1):
-            ck = math.comb(power - 2, k) * (-1.0) ** k \
-                * b ** (power - 2 - k)
-            e = z + (2.0 + k)
-            upper = np.exp(e * log_b)
-            lower = np.exp(e * log_a) if log_a is not None else 0.0
-            out = out + ck * (upper - lower) / e
-        return power * (power - 1) * out
-
-    return WeightSpec(a=a, b=b, eta=float(eta), f=f, f_second=f_second,
-                      moments=moments)
-
-
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
-def _abs_moment(w: WeightSpec, p):
-    """integral_a^b |f''(w)| w^p dw by fixed panels, for envelopes."""
-    if not math.isfinite(w.b):
-        return math.inf
-    edges = np.linspace(w.a, w.b, 65)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    pts = (mid[:, None] + half * _GL_NODES[None, :]).ravel()
-    wgt = (half * np.broadcast_to(_GL_WEIGHTS, (64, 16))).ravel()
-    vals = np.abs(np.asarray(w.f_second(pts), dtype=np.float64))
-    powed = np.where(pts > 0.0, pts, 1.0) ** p
-    return float(np.sum(vals * powed * wgt))
+def _order(d):
+    d = int(d)
+    if d < 2:
+        raise ValueError("d must be at least 2")
+    return d
 
 
-def _series_for(kind, table: SieveTable, d, limit):
-    """Prefix sums of the inner (d-1)-fold convolution up to limit."""
+def _inner_series(table: SieveTable, d, limit):
+    """S_(d-1)(0..limit), the (d-1)-fold convolution of the table (S_1 = v)."""
     if d == 2:
-        inner = table.values[1:limit + 1].astype(np.int64)
-    else:
-        inner = convolve_fft(table, d - 1, limit).values[1:]
-    return np.concatenate(([0], np.cumsum(inner, dtype=np.int64)))
+        return table.values[:limit + 1].astype(np.int64)
+    return convolve_fft(table, d - 1, limit).values
 
 
-def weighted_average_direct(kind, w: WeightSpec, table: SieveTable, d=2):
+def _prefix_pair(w: PolynomialWeight, table: SieveTable, d):
+    """Prefix sums p1 of v and p2 of S_(d-1) up to floor(eta b) + 1."""
+    top = int(math.floor(w.eta * w.b)) + 1
+    if top > table.limit:
+        raise ValueError(
+            f"the weighted identity needs sieve values to {top}, table "
+            f"stops at {table.limit}")
+    return (table.prefix[:top + 1],
+            np.cumsum(_inner_series(table, d, top), dtype=np.int64))
+
+
+def weighted_average_direct(w: PolynomialWeight, table: SieveTable, d=2):
     """Exact weighted sum over d-tuples, first index cut at eta*a.
 
     Computes the sum over eta*a < n <= eta*b and m >= 1 of
@@ -680,14 +673,7 @@ def weighted_average_direct(kind, w: WeightSpec, table: SieveTable, d=2):
     of f imposes n + m < eta*b, so the sum is finite; everything is
     integer convolution work plus one f evaluation per attained total.
     """
-    _check_kind(kind)
-    if kind != table.kind:
-        raise ValueError(f"table holds {table.kind}, requested {kind}")
-    d = int(d)
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    if not math.isfinite(w.b):
-        raise ValueError("direct summation needs a finite b")
+    d = _order(d)
     nb = w.eta * w.b
     if nb > table.limit:
         raise ValueError(
@@ -698,11 +684,7 @@ def weighted_average_direct(kind, w: WeightSpec, table: SieveTable, d=2):
     vcut = table.values[:hi + 1].astype(np.int64)
     cut = int(math.floor(w.eta * w.a))
     vcut[:min(cut + 1, hi + 1)] = 0
-    if d == 2:
-        inner = table.values[:hi + 1].astype(np.int64)
-    else:
-        inner = convolve_fft(table, d - 1, hi).values
-    totals = np.convolve(vcut, inner)[:hi + 1]
+    totals = np.convolve(vcut, _inner_series(table, d, hi))[:hi + 1]
     idx = np.nonzero(totals)[0]
     if idx.size == 0:
         return 0.0
@@ -748,7 +730,7 @@ def _kink_kernel(p1, p2, na, nb):
     return xs[order], ks[order]
 
 
-def _boundary_term(w: WeightSpec, p1, p2):
+def _boundary_term(w: PolynomialWeight, p1, p2):
     """G1(eta a) times int_a^b G2(eta v - eta a) f'(v) dv, exactly.
 
     G2 is constant between the breakpoints v_k = a + k/eta, so the
@@ -767,20 +749,18 @@ def _boundary_term(w: WeightSpec, p1, p2):
     return g1a * math.fsum(steps * (fv[1:] - fv[:-1]))
 
 
-def _identity_rhs(kind, w: WeightSpec, table: SieveTable, d):
-    """Boundary term plus (1/eta) int f''(w) K(eta w) dw, K exact."""
-    if not math.isfinite(w.b):
-        raise ValueError("the exact identity needs a finite b")
-    nb = w.eta * w.b
-    top = int(math.floor(nb)) + 1
-    if top > table.limit:
-        raise ValueError(
-            f"the identity needs sieve values to {top}, table stops at "
-            f"{table.limit}")
-    p1 = np.concatenate(
-        ([0], np.cumsum(table.values[1:top + 1], dtype=np.int64)))
-    p2 = _series_for(kind, table, d, top)
+def weighted_average_rhs(w: PolynomialWeight, table: SieveTable, d=2):
+    """Right-hand side of the exact weighted-average identity.
+
+    The boundary term plus (1/eta) int f''(w) K(eta w) dw, where K is the
+    exact convolution integral of the two step summatories.  This is an
+    unconditional restatement of the double sum and must match
+    weighted_average_direct to rounding.
+    """
+    d = _order(d)
+    p1, p2 = _prefix_pair(w, table, d)
     na = w.eta * w.a
+    nb = w.eta * w.b
     xs, ks = _kink_kernel(p1, p2, na, nb)
     lo_i = max(int(np.searchsorted(xs, na, side="right")) - 1, 0)
     hi_i = min(int(np.searchsorted(xs, nb, side="left")), xs.size - 1)
@@ -807,66 +787,45 @@ def _identity_rhs(kind, w: WeightSpec, table: SieveTable, d):
     return _boundary_term(w, p1, p2) + kernel
 
 
-def weighted_average_rhs(kind, w: WeightSpec, table: SieveTable, zs=None,
-                         d=2, mode="exact-identity", T=None):
-    """Right-hand side of the weighted-average identity, two routes.
+def weighted_average_explicit(w: PolynomialWeight, table: SieveTable, zs,
+                              d=2, T=None):
+    """Zero expansion of the weighted average, as an ExplicitBreakdown.
 
-    mode="exact-identity" returns a float: the boundary term plus
-    (1/eta) int f''(w) K(eta w) dw, where K is the exact convolution
-    integral of the two step summatories.  This is an unconditional
-    restatement of the double sum and must match
-    weighted_average_direct to rounding.
-
-    mode="explicit-formula" returns an ExplicitBreakdown.  With
-    I(z) = int f''(w) w^(z+1) dw, the kernel is
+    With I(z) = int f''(w) w^(z+1) dw, the kernel is
     K(u) = eta^(u+d-2) I(u+d-2) / Gamma(u + d) in the main term
     a^2 K(1) = pi eta^(d-1) I(d-1) / (4 zeta(1/2)^2 d!) and the single
     sum, while the double sum divides by Gamma(u + 2) instead; the two
-    agree at d = 2.  moebius keeps the double sum alone.  When
-    eta*a >= 1 the boundary term is computed
-    exactly from the table and folded into main_term, keeping the
-    total-sum invariant.  Only d = 2 is numerically confirmed as an
+    agree at d = 2.  The table's kind picks the coefficients; moebius
+    keeps the double sum alone.  When eta*a >= 1 the boundary term is
+    computed exactly from the table and folded into main_term, keeping
+    the total-sum invariant.  Only d = 2 is numerically confirmed as an
     asymptotic for these exponents; see explicit_cesaro on the d >= 3
     caveat.
     """
-    _check_kind(kind)
-    d = int(d)
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    if mode == "exact-identity":
-        return _identity_rhs(kind, w, table, d)
-    if mode != "explicit-formula":
-        raise ValueError(f"unknown mode {mode!r}")
-    if zs is None:
-        raise ValueError("explicit-formula mode needs a zero set")
+    d = _order(d)
     used, T = _usable(zs, T)
-    coeff = _coefficients(kind, zs, used)
+    coeff = _coefficients(table.kind, zs, used)
     leta = math.log(w.eta)
 
     def factor(u, log_kernel):
         return np.exp(log_kernel + (u + (d - 2)) * leta) \
             * w.moments(u + (d - 2.0))
 
-    main, single = _pole_terms(kind, zs.rhos[:used], coeff, d, factor,
+    main, single = _pole_terms(table.kind, zs.rhos[:used], coeff, d, factor,
                                hermitian=True)
     if w.boundary_applies:
-        top = int(math.floor(w.eta * w.b)) + 1
-        if not math.isfinite(w.b) or top > table.limit:
-            raise ValueError(
-                "the boundary term needs sieve values past eta*b")
-        p1 = np.concatenate(
-            ([0], np.cumsum(table.values[1:top + 1], dtype=np.int64)))
-        p2 = _series_for(kind, table, d, top)
-        main = complex(main) + _boundary_term(w, p1, p2)
+        main = complex(main) + _boundary_term(w, *_prefix_pair(w, table, d))
 
-    # |I(z + d - 2)| <= int |f''| w^d on Re z = 1
-    mixed_abs = _abs_moment(w, float(d))
-    log_mom = math.log(mixed_abs) if mixed_abs > 0.0 else -math.inf
-    double, pairs = _pair_total(
-        zs.gammas[:used], coeff, 2.0, factor,
-        lambda t: (d - 2) * leta + log_mom, (main, single), hermitian=True)
-    envelope = (w.eta ** (d - 1.5 + ENV_EPS)
-                * _abs_moment(w, d - 0.5 + ENV_EPS)
-                + w.eta ** (d - 2) * _abs_moment(w, float(d - 1)))
+    # f'' >= 0 on [a, b), so int |f''| w^p dw = I(p - 1); in particular
+    # |I(z + d - 2)| <= I(d - 1) on Re z = 1
+    def abs_moment(p):
+        return float(w.moments(p - 1.0).real)
+
+    log_bound = (d - 2) * leta + math.log(abs_moment(d))
+    double, pairs = _pair_total(zs.gammas[:used], coeff, 2.0, factor,
+                                lambda t: log_bound, (main, single),
+                                hermitian=True)
+    envelope = (w.eta ** (d - 1.5 + ENV_EPS) * abs_moment(d - 0.5 + ENV_EPS)
+                + w.eta ** (d - 2) * abs_moment(d - 1))
     return _assemble(main, single, double, T, used, pairs, envelope,
                      hermitian=True)

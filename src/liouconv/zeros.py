@@ -1,4 +1,4 @@
-"""Zero-ordinate ingestion, enrichment, persistence and SZ diagnostics.
+"""Zero-ordinate ingestion, enrichment and persistence.
 
 A ZeroSet stores only positive ordinates; the conjugate zeros are implied
 and handled at summation time, which keeps every downstream output real
@@ -26,8 +26,6 @@ __all__ = [
     "save_cache",
     "load_cache",
     "is_cache",
-    "sz_diagnostic",
-    "counting_sanity",
     "truncate",
     "export_csv",
     "bundled_ordinates",
@@ -49,7 +47,6 @@ class ZeroSet:
     gammas: np.ndarray     # float64, strictly increasing
     zprimes: np.ndarray    # complex128
     z2rhos: np.ndarray     # complex128
-    residual_tol: float = RESIDUAL_TOL
 
     def __post_init__(self):
         g = self.gammas
@@ -145,23 +142,21 @@ def enrich(ordinates) -> ZeroSet:
     return ZeroSet(gammas=g, zprimes=zprimes, z2rhos=z2)
 
 
-def truncate(zset: ZeroSet, count: int | None = None,
-             t_max: float | None = None) -> ZeroSet:
-    """Prefix of a ZeroSet by zero count or by ordinate ceiling (gamma < t_max)."""
-    k = len(zset)
-    if count is not None:
-        k = min(k, int(count))
-    if t_max is not None:
-        k = min(k, int(np.searchsorted(zset.gammas, t_max, side="left")))
+def truncate(zset: ZeroSet, count: int) -> ZeroSet:
+    """The first count zeros of a ZeroSet (all of them if it has fewer)."""
+    k = min(len(zset), int(count))
     return ZeroSet(gammas=zset.gammas[:k], zprimes=zset.zprimes[:k],
-                   z2rhos=zset.z2rhos[:k], residual_tol=zset.residual_tol)
+                   z2rhos=zset.z2rhos[:k])
 
 
 def save_cache(zset: ZeroSet, path) -> None:
-    """Versioned binary cache: header, raw arrays, sha256 trailer."""
+    """Versioned binary cache: header, raw arrays, sha256 trailer.
+
+    The header records the enrichment residual bound RESIDUAL_TOL.
+    """
     body = (_CACHE_MAGIC
             + bytes([_CACHE_VERSION])
-            + struct.pack("<Qd", len(zset), zset.residual_tol)
+            + struct.pack("<Qd", len(zset), RESIDUAL_TOL)
             + zset.gammas.tobytes()
             + zset.zprimes.tobytes()
             + zset.z2rhos.tobytes())
@@ -182,53 +177,20 @@ def load_cache(path) -> ZeroSet:
         raise ValueError("zero cache: bad magic")
     if body[9] != _CACHE_VERSION:
         raise ValueError(f"zero cache: unsupported version {body[9]}")
-    count, tol = struct.unpack_from("<Qd", body, 10)
+    (count,) = struct.unpack_from("<Q", body, 10)
     off = 10 + 16
     g = np.frombuffer(body, dtype=np.float64, count=count, offset=off).copy()
     off += 8 * count
     zp = np.frombuffer(body, dtype=np.complex128, count=count, offset=off).copy()
     off += 16 * count
     z2 = np.frombuffer(body, dtype=np.complex128, count=count, offset=off).copy()
-    return ZeroSet(gammas=g, zprimes=zp, z2rhos=z2, residual_tol=tol)
+    return ZeroSet(gammas=g, zprimes=zp, z2rhos=z2)
 
 
 def is_cache(path) -> bool:
     """Whether the file starts with the zero-cache magic bytes."""
     with open(path, "rb") as fh:
         return fh.read(len(_CACHE_MAGIC)) == _CACHE_MAGIC
-
-
-def sz_diagnostic(zset: ZeroSet, t_ceiling: float) -> dict:
-    """Partial sums behind the simple-zero conjecture, up to gamma < T.
-
-    Returns sum_inv_zp = sum 1/|zeta'(rho)|, sum_z2_over_rho_zp =
-    sum |zeta(2 rho)|/|rho zeta'(rho)|, and the first sum normalized by
-    T (log T)^(1/2).
-    """
-    t_ceiling = float(t_ceiling)
-    if t_ceiling > zset.t_max:
-        raise ValueError(
-            f"sz_diagnostic: T = {t_ceiling} exceeds t_max = {zset.t_max}; "
-            f"silent truncation is not allowed")
-    k = int(np.searchsorted(zset.gammas, t_ceiling, side="left"))
-    inv = 1.0 / np.abs(zset.zprimes[:k])
-    sum_inv = float(math.fsum(inv))
-    rho_abs = np.abs(0.5 + 1j * zset.gammas[:k])
-    sum_z2 = float(math.fsum(np.abs(zset.z2rhos[:k]) / (rho_abs *
-                                                        np.abs(zset.zprimes[:k]))))
-    norm = sum_inv / (t_ceiling * math.sqrt(math.log(t_ceiling))) \
-        if t_ceiling > 1.0 else 0.0
-    return {"sum_inv_zp": sum_inv, "sum_z2_over_rho_zp": sum_z2,
-            "normalized": norm}
-
-
-def counting_sanity(zset: ZeroSet, t_ceiling: float | None = None) -> dict:
-    """Compare #{gamma < T} to the classical (T/2pi) log(T/(2 pi e))."""
-    t = zset.t_max if t_ceiling is None else float(t_ceiling)
-    count = int(np.searchsorted(zset.gammas, t, side="left"))
-    predicted = t / (2 * math.pi) * math.log(t / (2 * math.pi * math.e))
-    return {"count": count, "predicted": predicted,
-            "ratio": count / predicted if predicted > 0 else math.inf}
 
 
 def export_csv(zset: ZeroSet, path) -> None:

@@ -120,12 +120,11 @@ def test_criterion_05_weighted_identity(criterion):
         b = a + float(rng.uniform(1.0, 3.0))
         eta = float(rng.uniform(15.0, min(60.0, (limit - 2) / b)))
         power = int(rng.integers(2, 5))
-        w = explicit.make_polynomial_weight(a, b, eta, power=power)
+        w = explicit.PolynomialWeight(a, b, eta, power=power)
         if w.boundary_applies:
             boundary_cases += 1
-        direct = explicit.weighted_average_direct(kind, w, tables[kind], d=d)
-        rhs = explicit.weighted_average_rhs(kind, w, tables[kind], d=d,
-                                            mode="exact-identity")
+        direct = explicit.weighted_average_direct(w, tables[kind], d=d)
+        rhs = explicit.weighted_average_rhs(w, tables[kind], d=d)
         worst = max(worst, abs(direct - rhs) / max(1.0, abs(direct)))
     dt = perf_counter() - t0
     ok = worst <= 1e-8 and boundary_cases >= 5 and dt < 120.0

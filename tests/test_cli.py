@@ -78,6 +78,16 @@ def test_subcommands_reject_flags_they_do_not_use(tmp_path, capsys):
                      "--output", str(tmp_path / "id.json")]) == 0
 
 
+@pytest.mark.parametrize("target", ["L", "cesaro"])
+def test_sample_range_meets_the_default_limit(tmp_path, capsys, target):
+    """Without --limit the samples are checked against the default limit
+    before any work: the zeros file named is never opened."""
+    missing = str(tmp_path / "absent.bin")
+    assert cli.main(["verify", target, "--zeros", missing,
+                     "--samples", "log:5:10:20000"]) == 2
+    assert "error: sample range exceeds --limit" in capsys.readouterr().err
+
+
 def test_sample_and_value_parsers():
     assert cli._parse_samples("log:5:10:100") == ("log", 5, 10.0, 100.0)
     assert cli._parse_samples("linear:3:0:9") == ("linear", 3, 0.0, 9.0)

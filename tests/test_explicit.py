@@ -180,10 +180,9 @@ def test_single_sums_brute(lio_10k, zs1000, case):
                                     lambda u: y ** (-u))
     else:
         d = int(d)
-        w = explicit.make_polynomial_weight(0.5, 3.0, 50.0, power=3)
-        got = explicit.weighted_average_rhs(
-            kind, w, lio_10k, zs=zsub, d=d,
-            mode="explicit-formula").single_sum
+        w = explicit.PolynomialWeight(0.5, 3.0, 50.0, power=3)
+        got = explicit.weighted_average_explicit(w, lio_10k, zsub,
+                                                 d=d).single_sum
         terms = _brute_single_terms(
             zsub, coeff, offset, d, lambda u: w.eta ** (u + d - 2)
             * complex(w.moments(np.array([u + d - 2.0]))[0]))
@@ -245,19 +244,36 @@ def test_dirichlet_complex_s_double_sum_brute(zs1000, kind):
     assert bd.pair_terms > 2 * 78
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_weighted_explicit_double_sum_brute(lio_10k, zs1000, d):
-    zsub = zeros.truncate(zs1000, count=12)
-    w = explicit.make_polynomial_weight(0.5, 3.0, 50.0, power=3)
-    bd = explicit.weighted_average_rhs(sieve.KIND_LIOUVILLE, w, lio_10k,
-                                       zs=zsub, d=d, mode="explicit-formula")
-    coeff = zsub.z2rhos / zsub.zprimes
-
+def _weighted_pair_terms(zsub, coeff, w, d):
     def factor(z):
         e = z + (d - 2.0)
         return w.eta ** e * complex(w.moments(np.array([e]))[0])
 
-    terms = _brute_pair_terms(zsub, coeff, 2.0, factor)
+    return _brute_pair_terms(zsub, coeff, 2.0, factor)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_weighted_explicit_double_sum_brute(lio_10k, zs1000, d):
+    zsub = zeros.truncate(zs1000, count=12)
+    w = explicit.PolynomialWeight(0.5, 3.0, 50.0, power=3)
+    bd = explicit.weighted_average_explicit(w, lio_10k, zsub, d=d)
+    terms = _weighted_pair_terms(zsub, zsub.z2rhos / zsub.zprimes, w, d)
+    brute = math.fsum(t.real for t in terms)
+    assert bd.double_sum == pytest.approx(brute, rel=1e-10)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_weighted_explicit_moebius_is_double_only(zs1000, d):
+    """The kind comes from the table: a moebius table has no pole residue,
+    and with eta*a < 1 no boundary term joins main_term either."""
+    zsub = zeros.truncate(zs1000, count=12)
+    w = explicit.PolynomialWeight(0.0, 3.0, 50.0, power=3)
+    assert not w.boundary_applies
+    table = sieve.build_sieve(sieve.KIND_MOEBIUS, 256)
+    bd = explicit.weighted_average_explicit(w, table, zsub, d=d)
+    assert bd.main_term == 0.0
+    assert bd.single_sum == 0.0
+    terms = _weighted_pair_terms(zsub, 1.0 / zsub.zprimes, w, d)
     brute = math.fsum(t.real for t in terms)
     assert bd.double_sum == pytest.approx(brute, rel=1e-10)
 
@@ -344,7 +360,7 @@ def test_exponential_formula_structure(zs1000, lio_series_10k):
 # weighted averages and the exact identity
 
 
-def _brute_weighted(kind, w, table, d):
+def _brute_weighted(w, table, d):
     """Triple loop over the cut first factor and the (d-1)-fold rest."""
     v = [int(t) for t in table.values]
     rest = [0] * (table.limit + 1)
@@ -372,36 +388,45 @@ def _brute_weighted(kind, w, table, d):
 @pytest.mark.parametrize("d", [2, 3])
 def test_weighted_direct_brute(kind, d):
     table = sieve.build_sieve(kind, 64)
-    w = explicit.make_polynomial_weight(0.3, 2.1, 8.0, power=3)
-    got = explicit.weighted_average_direct(kind, w, table, d=d)
-    want = _brute_weighted(kind, w, table, d)
+    w = explicit.PolynomialWeight(0.3, 2.1, 8.0, power=3)
+    got = explicit.weighted_average_direct(w, table, d=d)
+    want = _brute_weighted(w, table, d)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", [sieve.KIND_LIOUVILLE, sieve.KIND_MOEBIUS])
 def test_exact_identity_spot(kind):
     table = sieve.build_sieve(kind, 2048)
+    # the last two have 0 < eta*a = 0.6 < 1: a non-integer cut with no
+    # boundary term, so both kink families of the kernel are live
     for a, b, eta, p, d in ((0.0, 2.5, 37.0, 2, 2),
-                            (1.3, 3.3, 25.0, 3, 3)):
-        w = explicit.make_polynomial_weight(a, b, eta, power=p)
-        direct = explicit.weighted_average_direct(kind, w, table, d=d)
-        rhs = explicit.weighted_average_rhs(kind, w, table, d=d,
-                                            mode="exact-identity")
+                            (1.3, 3.3, 25.0, 3, 3),
+                            (0.02, 2.5, 30.0, 2, 2),
+                            (0.02, 2.5, 30.0, 3, 3)):
+        w = explicit.PolynomialWeight(a, b, eta, power=p)
+        direct = explicit.weighted_average_direct(w, table, d=d)
+        rhs = explicit.weighted_average_rhs(w, table, d=d)
         assert abs(direct - rhs) / max(1.0, abs(direct)) < 1e-10
 
 
 def test_polynomial_weight_moments_against_quadrature():
-    w = explicit.make_polynomial_weight(0.5, 3.0, 40.0, power=3)
+    w = explicit.PolynomialWeight(0.5, 3.0, 40.0, power=3)
     p = 3
     for z in (0.3 + 0j, 1.5 + 2.0j, 2.0 - 5.0j):
         got = complex(w.moments(np.array([z]))[0])
         f2 = lambda t: p * (p - 1) * (3.0 - t) ** (p - 2) * t ** (z + 1.0)
         want = complex(mpmath.quad(f2, [0.5, 3.0]))
         assert got == pytest.approx(want, rel=1e-10)
+    # a = 0 at real z: the exact |f''| moment the envelopes use
+    w = explicit.PolynomialWeight(0.0, 3.0, 40.0, power=3)
+    got = float(w.moments(0.6).real)
+    want = float(mpmath.quad(lambda t: 6.0 * (3.0 - t) * t ** 1.6,
+                             [0.0, 3.0]))
+    assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_polynomial_weight_derivatives_consistent():
-    w = explicit.make_polynomial_weight(0.5, 3.0, 40.0, power=4)
+    w = explicit.PolynomialWeight(0.5, 3.0, 40.0, power=4)
     h = 1e-4
     for t in (0.8, 1.7, 2.9):
         fd2 = (w.f(t + h) - 2.0 * w.f(t) + w.f(t - h)) / (h * h)
@@ -412,37 +437,27 @@ def test_polynomial_weight_derivatives_consistent():
 
 def test_weight_validation():
     with pytest.raises(ValueError):
-        explicit.make_polynomial_weight(-0.5, 2.0, 10.0)
+        explicit.PolynomialWeight(-0.5, 2.0, 10.0)
     with pytest.raises(ValueError):
-        explicit.make_polynomial_weight(2.0, 2.0, 10.0)
+        explicit.PolynomialWeight(2.0, 2.0, 10.0)
     with pytest.raises(ValueError):
-        explicit.make_polynomial_weight(0.0, 2.0, -1.0)
+        explicit.PolynomialWeight(0.0, math.inf, 10.0)
     with pytest.raises(ValueError):
-        explicit.make_polynomial_weight(0.0, 2.0, 10.0, power=1)
+        explicit.PolynomialWeight(0.0, 2.0, -1.0)
+    with pytest.raises(ValueError):
+        explicit.PolynomialWeight(0.0, 2.0, 10.0, power=1)
 
 
 def test_boundary_flag():
-    assert not explicit.make_polynomial_weight(0.0, 2.0, 50.0).boundary_applies
-    assert explicit.make_polynomial_weight(1.0, 2.0, 50.0).boundary_applies
-
-
-def test_weighted_rhs_mode_guard(lio_10k, zs1000):
-    w = explicit.make_polynomial_weight(0.5, 3.0, 50.0, power=3)
-    with pytest.raises(ValueError):
-        explicit.weighted_average_rhs(sieve.KIND_LIOUVILLE, w, lio_10k,
-                                      mode="guess")
-    with pytest.raises(ValueError):
-        explicit.weighted_average_rhs(sieve.KIND_LIOUVILLE, w, lio_10k,
-                                      mode="explicit-formula")
+    assert not explicit.PolynomialWeight(0.0, 2.0, 50.0).boundary_applies
+    assert explicit.PolynomialWeight(1.0, 2.0, 50.0).boundary_applies
 
 
 def test_weighted_explicit_formula_breakdown(lio_10k, zs1000):
     zsub = zeros.truncate(zs1000, count=300)
-    w = explicit.make_polynomial_weight(0.5, 3.0, 50.0, power=3)
-    direct = explicit.weighted_average_direct(sieve.KIND_LIOUVILLE, w,
-                                              lio_10k, d=2)
-    bd = explicit.weighted_average_rhs(sieve.KIND_LIOUVILLE, w, lio_10k,
-                                       zs=zsub, d=2, mode="explicit-formula")
+    w = explicit.PolynomialWeight(0.5, 3.0, 50.0, power=3)
+    direct = explicit.weighted_average_direct(w, lio_10k, d=2)
+    bd = explicit.weighted_average_explicit(w, lio_10k, zsub, d=2)
     assert bd.imag_residue < 1e-8 * (1.0 + abs(bd.total))
     assert abs(direct - bd.total) < bd.envelope
 
