@@ -65,9 +65,7 @@ def newton_polish(t0, sweeps=5):
     """Newton on zeta(1/2 + i t) along the critical line, vectorized."""
     t = t0.copy()
     for _ in range(sweeps):
-        s = 0.5 + 1j * t
-        val = specfun.zeta(s)
-        der = specfun.zeta_derivative(s)
+        val, der = specfun.zeta_pair(0.5 + 1j * t)
         t = t - np.imag(val / der)
     return t
 

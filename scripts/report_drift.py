@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
-"""Compare the verify reports of two source trees of the package.
+"""Compare the verify reports and zero enrichment of two source trees.
 
-Each tree runs the same 15 `verify` cases (every target at small sizes,
-plus `dfold --d 4`, `dirichlet --s 3` and `weighted --d 3` with zeros,
+Each tree enriches the first 1000 bundled ordinates, and the script
+prints the largest relative move of zeta'(rho) and of zeta(2 rho), or
+"identical" when both arrays match bit for bit.  Each tree also runs
+the same 15 `verify` cases (every target at small sizes, plus
+`dfold --d 4`, `dirichlet --s 3` and `weighted --d 3` with zeros,
 `identity` over six trials, which reach both kinds at d = 2 and 3 and
 the boundary term, and L and M at 3e6, where the sieve tables span
 several segments) in its own interpreter, against one shared 80-zero
-cache, inside a temporary directory.  For each case the script prints
-"identical" when the two CSV reports match byte for byte.  Otherwise it
-prints each moved column with its largest |change| over
-max(1, |main|, |single|, |double|, |direct|, |total|) of the row (the
-old tree's values), each moved summary key with |change| over
+cache made by the new tree, inside a temporary directory.  For each case
+the script prints "identical" when the two CSV reports match byte for
+byte.  Otherwise it prints each moved column with its largest |change|
+over max(1, |main|, |single|, |double|, |direct|, |total|) of the row
+(the old tree's values), each moved summary key with |change| over
 max(1, |old|), and "header differs" or "changed" for anything that is
 not a float.
 
@@ -26,6 +29,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 Z = "@zeros"     # stands for --zeros and the shared 80-zero cache
 CASES = {
@@ -56,11 +61,14 @@ SCALE_PREFIXES = ("main", "single", "double", "direct", "total")
 # Runs inside the child interpreter, with the tree's src on sys.path.
 _CHILD = """
 import sys
+import numpy as np
 from liouconv import cli, zeros
 cache, out, cases = sys.argv[1], sys.argv[2], sys.argv[3:]
 if out == "-":
     zeros.save_cache(zeros.enrich(zeros.bundled_ordinates(80)), cache)
     sys.exit(0)
+zset = zeros.enrich(zeros.bundled_ordinates(1000))
+np.save(f"{out}/enrich.npy", np.stack([zset.zprimes, zset.z2rhos]))
 for i in range(0, len(cases), 2):
     name, argv = cases[i], cases[i + 1].split("\\x1f")
     argv = sum((["--zeros", cache] if a == "@zeros" else [a] for a in argv),
@@ -138,6 +146,14 @@ def compare(old_text, new_text):
                      for k, v in moved.items())
 
 
+def compare_enrichment(old, new):
+    """One line: the largest relative move of zeta'(rho) and zeta(2 rho)."""
+    if np.array_equal(old, new):
+        return "identical"
+    moves = np.max(np.abs(new - old) / np.abs(old), axis=1)
+    return f"zeta'(rho) {moves[0]:.2e}, zeta(2 rho) {moves[1]:.2e}"
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_src", help="src directory of the old tree")
@@ -156,6 +172,8 @@ def main(argv=None):
             _run_tree(src, cache, out)
             outs.append(out)
         width = max(map(len, CASES))
+        enriched = [np.load(out / "enrich.npy") for out in outs]
+        print(f"{'enrich-1000':<{width}}  {compare_enrichment(*enriched)}")
         for name in CASES:
             texts = [(out / f"{name}.csv").read_text() for out in outs]
             print(f"{name:<{width}}  {compare(*texts)}")

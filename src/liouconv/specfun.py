@@ -6,8 +6,13 @@ below 1e-35, so ratios must be assembled from log_gamma and exponentiated
 once at the end.
 
 The zeta evaluator is plain Euler-Maclaurin with an adaptive main-sum
-cutoff.  That is accurate and simple for |Im s| up to a few times 1e4,
-which is all the desk-scale experiments need; no Riemann-Siegel here.
+cutoff N, rounded up to 8 steps per octave.  One pass returns zeta and
+zeta' together, from one table of n^-s per block of points that share
+N: exp(-s log p) runs only for the primes p < N, and every composite is
+the product of two rows already in the table, p^-s (n/p)^-s with p the
+smallest prime factor of n.  That is accurate and simple for |Im s| up
+to a few times 1e4, which is all the desk-scale experiments need; no
+Riemann-Siegel here.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from scipy.special import zeta as _real_zeta
 __all__ = [
     "log_gamma",
     "zeta",
-    "zeta_derivative",
+    "zeta_pair",
     "zeta_half",
     "log_gamma_abs_half_line",
     "log_gamma_abs_lower_bound",
@@ -37,6 +42,9 @@ _EM_CORRECTION_TERMS = 25
 _j = np.arange(1, _EM_CORRECTION_TERMS + 1)
 _EM_BERN = (-1.0) ** (_j + 1) * 2.0 * _real_zeta(2.0 * _j) / (2.0 * np.pi) ** (2 * _j)
 del _j
+
+# Entries of one n^-s table (cutoff x points), about 4 MB of complex128.
+_CHUNK_ENTRIES = 250_000
 
 _ZETA_HALF: Optional[complex] = None
 
@@ -77,22 +85,59 @@ def _em_cutoff(tmax: float) -> int:
     return max(n, 30)
 
 
-def _zeta_em_block(s: np.ndarray, cutoff: int,
-                   want_derivative: bool) -> np.ndarray:
-    """Euler-Maclaurin core for a flat array of s sharing one cutoff."""
-    n = np.arange(1, cutoff, dtype=np.float64)
-    logn = np.log(n)
-    # Chunk the outer product so memory stays modest for big batches.
+def _factor_layers(cutoff: int) -> tuple[np.ndarray, list]:
+    """How to build n^-s for 2 <= n < cutoff with one exp per prime.
+
+    Returns the primes below cutoff and, for the composites, a list of
+    layers (n, p, q) by Omega(n), the prime factors of n counted with
+    multiplicity: p = spf(n) is the smallest prime factor and q = n/p.
+    Every q lies in an earlier layer (or is prime), so filling the layers
+    in order sets n^-s = p^-s q^-s from rows that are already there.
+    """
+    n = np.arange(cutoff)
+    spf = n.copy()
+    for p in range(2, math.isqrt(max(cutoff - 1, 0)) + 1):
+        if spf[p] == p:
+            tail = spf[p * p::p]
+            np.minimum(tail, p, out=tail)
+    is_prime = spf == n
+    is_prime[:2] = False
+    rest = np.nonzero(~is_prime)[0][2:]
+    q = rest // spf[rest]
+    filled = is_prime.copy()
+    layers = []
+    while rest.size:
+        ready = filled[q]
+        layer = rest[ready]
+        layers.append((layer, spf[layer], q[ready]))
+        filled[layer] = True
+        rest, q = rest[~ready], q[~ready]
+    return np.nonzero(is_prime)[0], layers
+
+
+def _zeta_em_block(s: np.ndarray,
+                   cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Euler-Maclaurin core for a flat array of s sharing one cutoff N:
+    (zeta(s), zeta'(s)) from one table of n^-s, 1 <= n < N."""
+    primes, layers = _factor_layers(cutoff)
+    logn = np.log(np.arange(1, cutoff, dtype=np.float64))
     total = np.empty(s.shape, dtype=np.complex128)
-    dtotal = np.empty(s.shape, dtype=np.complex128) if want_derivative else None
-    rows = max(1, 3_000_000 // max(cutoff, 1))
+    dtotal = np.empty(s.shape, dtype=np.complex128)
+    rows = max(1, _CHUNK_ENTRIES // cutoff)
     for lo in range(0, s.size, rows):
-        sl = s[lo:lo + rows, None]
-        powers = np.exp(-sl * logn[None, :])
+        sl = s[lo:lo + rows]
+        # n-major, so each layer fills whole contiguous rows at once
+        table = np.empty((cutoff, sl.size), dtype=np.complex128)
+        table[1] = 1.0
+        table[primes] = np.exp(-logn[primes - 1, None] * sl)
+        for n, p, q in layers:
+            table[n] = table[p] * table[q]
+        # point-major for the sums: each point is one contiguous pairwise
+        # sum, so its bits do not depend on the other points in the chunk
+        powers = np.ascontiguousarray(table[1:].T)
         total[lo:lo + rows] = powers.sum(axis=1)
-        if want_derivative:
-            dtotal[lo:lo + rows] = -(powers * logn[None, :]).sum(axis=1)
-        del powers
+        powers *= logn
+        dtotal[lo:lo + rows] = -powers.sum(axis=1)
 
     big_n = float(cutoff)
     lg = math.log(big_n)
@@ -101,17 +146,15 @@ def _zeta_em_block(s: np.ndarray, cutoff: int,
     tail = big_n * n_pow / sm1       # N^(1-s)/(s-1)
     half = 0.5 * n_pow
     total = total + tail + half
-    if want_derivative:
-        dtotal = dtotal - big_n * n_pow * (lg / sm1 + 1.0 / (sm1 * sm1))
-        dtotal = dtotal - 0.5 * lg * n_pow
+    dtotal = dtotal - big_n * n_pow * (lg / sm1 + 1.0 / (sm1 * sm1))
+    dtotal = dtotal - 0.5 * lg * n_pow
 
     # Correction terms, built by recurrence so no intermediate factor can
     # overflow: term_j = term_{j-1} * (b_j/b_{j-1}) * (s+2j-3)(s+2j-2) / N^2.
     term = _EM_BERN[0] * big_n * n_pow / (big_n * big_n) * s
     recip = 1.0 / s                  # sum over the Pochhammer factors
     total = total + term
-    if want_derivative:
-        dtotal = dtotal + term * (recip - lg)
+    dtotal = dtotal + term * (recip - lg)
     inv_n2 = 1.0 / (big_n * big_n)
     for j in range(2, _EM_CORRECTION_TERMS + 1):
         ratio = (_EM_BERN[j - 1] / _EM_BERN[j - 2]) * inv_n2
@@ -120,12 +163,29 @@ def _zeta_em_block(s: np.ndarray, cutoff: int,
         term = term * ratio * f1 * f2
         recip = recip + 1.0 / f1 + 1.0 / f2
         total = total + term
-        if want_derivative:
-            dtotal = dtotal + term * (recip - lg)
-    return dtotal if want_derivative else total
+        dtotal = dtotal + term * (recip - lg)
+    return total, dtotal
 
 
-def _zeta_dispatch(s, want_derivative: bool):
+def _em_bucket(need: int) -> int:
+    """need rounded up to a multiple of 2^(floor(log2 need) - 3)."""
+    step = 1 << max(need.bit_length() - 4, 0)
+    return -(-need // step) * step
+
+
+def zeta_pair(s):
+    """(zeta(s), zeta'(s)) by Euler-Maclaurin for Re s >= 0.4, s away from 1.
+
+    The main-sum length N is picked from |Im s| so the relative error
+    stays at or below 1e-10 for |Im s| <= 2e4; zeta' is the term-wise
+    derivative of the same sum.
+
+    Args:
+        s: complex scalar or array.
+
+    Returns:
+        Two values (scalars) or arrays with the shape of the input.
+    """
     arr, scalar = _as_complex_array(s, "zeta")
     flat = np.atleast_1d(arr).ravel()
     if np.any(flat.real < 0.4):
@@ -134,37 +194,22 @@ def _zeta_dispatch(s, want_derivative: bool):
         raise ValueError("zeta: evaluation too close to the pole at s = 1")
 
     out = np.empty(flat.shape, dtype=np.complex128)
-    # Bucket by required cutoff (quantized to powers of two) so mixed
-    # batches do not all pay for the largest |Im s|.
-    need = np.array([_em_cutoff(abs(t)) for t in flat.imag])
-    buckets = np.power(2, np.ceil(np.log2(need)).astype(int))
+    dout = np.empty(flat.shape, dtype=np.complex128)
+    # Bucket by required cutoff, 8 buckets per octave, so mixed batches do
+    # not all pay for the largest |Im s|; the bucket is a function of the
+    # point alone.
+    buckets = np.array([_em_bucket(_em_cutoff(abs(t))) for t in flat.imag],
+                       dtype=np.int64)
     for b in np.unique(buckets):
         mask = buckets == b
-        out[mask] = _zeta_em_block(flat[mask], int(b), want_derivative)
-    out = out.reshape(np.atleast_1d(arr).shape)
-    if arr.ndim == 0:
-        return complex(out[0])
-    return out
+        out[mask], dout[mask] = _zeta_em_block(flat[mask], int(b))
+    return (_unwrap(out.reshape(arr.shape), scalar),
+            _unwrap(dout.reshape(arr.shape), scalar))
 
 
 def zeta(s):
-    """Riemann zeta by Euler-Maclaurin for Re s >= 0.4, s away from 1.
-
-    The main-sum length N is picked from |Im s| so the relative error
-    stays at or below 1e-10 for |Im s| <= 1e4.
-
-    Args:
-        s: complex scalar or array.
-
-    Returns:
-        zeta(s) with the shape of the input.
-    """
-    return _zeta_dispatch(s, False)
-
-
-def zeta_derivative(s):
-    """zeta'(s), the term-wise derivative of the same Euler-Maclaurin sum."""
-    return _zeta_dispatch(s, True)
+    """Riemann zeta, the first half of zeta_pair(s)."""
+    return zeta_pair(s)[0]
 
 
 def zeta_half() -> float:

@@ -110,6 +110,9 @@ def load_ordinates(source) -> list[float]:
 def enrich(ordinates) -> ZeroSet:
     """Attach zeta'(rho) and zeta(2 rho) to each ordinate.
 
+    One specfun.zeta_pair call gives zeta(rho), for the residual check,
+    and zeta'(rho); one specfun.zeta call gives zeta(1 + 2 i gamma).
+
     Args:
         ordinates: ascending positive ordinates (list or array).
 
@@ -123,15 +126,14 @@ def enrich(ordinates) -> ZeroSet:
     if g.size == 0:
         return ZeroSet(gammas=g, zprimes=np.empty(0, np.complex128),
                        z2rhos=np.empty(0, np.complex128))
-    s = 0.5 + 1j * g
-    residual = np.abs(specfun.zeta(s))
+    zetas, zprimes = specfun.zeta_pair(0.5 + 1j * g)
+    residual = np.abs(zetas)
     bad = np.nonzero(residual >= RESIDUAL_TOL)[0]
     if bad.size:
         k = int(bad[0])
         raise ValueError(
             f"ordinate {g[k]!r} (position {k + 1}) fails the residual "
             f"check: |zeta(1/2+i gamma)| = {residual[k]:.3e} >= {RESIDUAL_TOL}")
-    zprimes = np.asarray(specfun.zeta_derivative(s), dtype=np.complex128)
     small = np.nonzero(np.abs(zprimes) < _MIN_ZPRIME)[0]
     if small.size:
         k = int(small[0])
@@ -179,6 +181,10 @@ def load_cache(path) -> ZeroSet:
         raise ValueError(f"zero cache: unsupported version {body[9]}")
     (count,) = struct.unpack_from("<Q", body, 10)
     off = 10 + 16
+    if len(body) != off + 40 * count:
+        raise ValueError(
+            f"zero cache: header says {count} zeros, which need a "
+            f"{off + 40 * count}-byte body, but the body has {len(body)} bytes")
     g = np.frombuffer(body, dtype=np.float64, count=count, offset=off).copy()
     off += 8 * count
     zp = np.frombuffer(body, dtype=np.complex128, count=count, offset=off).copy()

@@ -62,8 +62,12 @@ def test_zeta_known_values():
 
 
 def test_zeta_against_mpmath(rng):
-    for _ in range(15):
-        s = complex(rng.uniform(0.45, 3.0), rng.uniform(-400.0, 400.0))
+    pts = [complex(rng.uniform(0.45, 3.0), rng.uniform(-400.0, 400.0))
+           for _ in range(15)]
+    # enrichment-scale ordinates: rho near the last bundled zero, and
+    # 1 + 2i gamma for it
+    pts += [0.5 + 9876.5j, 1.0 + 19755.6j]
+    for s in pts:
         if abs(s - 1.0) < 0.05:
             continue
         got = specfun.zeta(s)
@@ -72,26 +76,34 @@ def test_zeta_against_mpmath(rng):
 
 
 def test_zeta_batch_matches_scalar(rng):
-    pts = np.array([complex(rng.uniform(0.5, 2.0), rng.uniform(-300.0, 300.0))
-                    for _ in range(12)])
-    batch = specfun.zeta(pts)
+    pts = [complex(rng.uniform(0.5, 2.0), rng.uniform(-300.0, 300.0))
+           for _ in range(12)]
+    # three more cutoff buckets, several points in one chunk for the last
+    pts += [0.5 + 2500.0j, 0.5 + 6000.0j, 0.5 + 9990.0j, 0.5 + 9995.0j]
+    pts = np.array(pts)
+    batch, dbatch = specfun.zeta_pair(pts)
+    assert np.array_equal(batch, specfun.zeta(pts))
     for i, s in enumerate(pts):
-        assert batch[i] == specfun.zeta(complex(s))
+        one, done = specfun.zeta_pair(complex(s))
+        assert batch[i] == one
+        assert dbatch[i] == done
 
 
 def test_zeta_derivative_against_mpmath(rng):
-    for _ in range(10):
-        s = complex(rng.uniform(0.5, 2.0), rng.uniform(-150.0, 150.0))
+    pts = [complex(rng.uniform(0.5, 2.0), rng.uniform(-150.0, 150.0))
+           for _ in range(10)]
+    pts.append(0.5 + 9876.5j)
+    for s in pts:
         if abs(s - 1.0) < 0.05:
             continue
-        got = specfun.zeta_derivative(s)
+        got = specfun.zeta_pair(s)[1]
         want = complex(mpmath.zeta(mpmath.mpc(s.real, s.imag), derivative=1))
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 def test_zeta_derivative_at_first_zero():
     rho1 = 0.5 + 14.134725141734695j
-    got = specfun.zeta_derivative(rho1)
+    got = specfun.zeta_pair(rho1)[1]
     assert got == pytest.approx(0.7832965118670309 + 0.1246998297481711j,
                                 rel=1e-10)
 
@@ -101,3 +113,19 @@ def test_zeta_domain_guards():
         specfun.zeta(0.2 + 5.0j)
     with pytest.raises(ValueError):
         specfun.zeta(1.0 + 1e-9j)
+
+
+@pytest.mark.parametrize("cutoff", [2, 3, 4, 31, 4097])
+def test_factor_layers_cover_each_n_once(cutoff):
+    primes, layers = specfun._factor_layers(cutoff)
+    assert all(p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1))
+               for p in primes.tolist())
+    filled = set(primes.tolist())
+    seen = list(primes.tolist())
+    for n, p, q in layers:
+        assert np.array_equal(p * q, n)
+        assert set(p.tolist()) <= set(primes.tolist())
+        assert set(q.tolist()) <= filled
+        filled |= set(n.tolist())
+        seen += n.tolist()
+    assert sorted(seen) == list(range(2, cutoff))

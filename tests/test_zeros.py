@@ -1,7 +1,9 @@
 """Zero ingestion, enrichment and persistence."""
 
+import hashlib
 import io
 import math
+import struct
 
 import mpmath
 import numpy as np
@@ -39,7 +41,7 @@ def test_load_ordinates_reports_line_numbers():
 
 
 def test_enrich_against_mpmath():
-    ords = zeros.bundled_ordinates(3)
+    ords = zeros.bundled_ordinates(3) + zeros.bundled_ordinates()[-1:]
     zset = zeros.enrich(ords)
     for k, g in enumerate(ords):
         rho = mpmath.mpc(0.5, g)
@@ -95,6 +97,21 @@ def test_cache_detects_corruption(tmp_path, zs1000):
     blob[len(blob) // 2] ^= 0xFF
     path.write_bytes(bytes(blob))
     with pytest.raises(ValueError):
+        zeros.load_cache(path)
+
+
+@pytest.mark.parametrize("count", [4, 6])
+def test_cache_rejects_a_count_that_does_not_match_the_body(tmp_path, zs1000,
+                                                           count):
+    # a valid checksum over a header whose zero count disagrees with the
+    # five zeros in the body
+    path = tmp_path / "cache.bin"
+    zeros.save_cache(zeros.truncate(zs1000, count=5), path)
+    body = bytearray(path.read_bytes()[:-32])
+    struct.pack_into("<Q", body, 10, count)
+    path.write_bytes(bytes(body) + hashlib.sha256(body).digest())
+    with pytest.raises(ValueError, match=f"zero cache: .*{count} zeros.*"
+                                         f"{len(body)}"):
         zeros.load_cache(path)
 
 
