@@ -17,6 +17,10 @@ over max(1, |main|, |single|, |double|, |direct|, |total|) of the row
 max(1, |old|), and "header differs" or "changed" for anything that is
 not a float.
 
+The exit status is 0 when the enrichment and every report are
+identical, and 1 when anything moved, so byte-identity can be checked
+by exit status alone.
+
 Run from the repository root, e.g. against a checkout of the parent
 commit:
 
@@ -173,11 +177,13 @@ def main(argv=None):
             outs.append(out)
         width = max(map(len, CASES))
         enriched = [np.load(out / "enrich.npy") for out in outs]
-        print(f"{'enrich-1000':<{width}}  {compare_enrichment(*enriched)}")
+        lines = {"enrich-1000": compare_enrichment(*enriched)}
         for name in CASES:
             texts = [(out / f"{name}.csv").read_text() for out in outs]
-            print(f"{name:<{width}}  {compare(*texts)}")
-    return 0
+            lines[name] = compare(*texts)
+    for name, line in lines.items():
+        print(f"{name:<{width}}  {line}")
+    return 0 if all(line == "identical" for line in lines.values()) else 1
 
 
 if __name__ == "__main__":

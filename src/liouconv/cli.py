@@ -603,8 +603,10 @@ def _run_identity(cfg, zset):
         if kind not in tables:
             tables[kind] = sieve.build_sieve(kind, cfg.limit)
         w = explicit.PolynomialWeight(a, b, eta, power=power)
-        direct = explicit.weighted_average_direct(w, tables[kind], d=d)
-        rhs = explicit.weighted_average_rhs(w, tables[kind], d=d)
+        inner = explicit.identity_series(w, tables[kind], d=d)
+        direct = explicit.weighted_average_direct(w, tables[kind], d=d,
+                                                  inner=inner)
+        rhs = explicit.weighted_average_rhs(w, tables[kind], d=d, inner=inner)
         rel = abs(direct - rhs) / max(1.0, abs(direct))
         if rel > _REL_IDENTITY_TOL:
             failures.append(
@@ -726,7 +728,8 @@ def _cmd_zeros_enrich(cfg):
         zeros.save_cache(zset, out)
     manifest = _write_manifest(
         cfg, out, inputs,
-        results={"count": len(zset.gammas), "t_max": zset.t_max})
+        results={"count": len(zset.gammas), "t_max": zset.t_max,
+                 "threads": specfun.zeta_threads()})
     print(f"zeros-enrich: {len(zset.gammas)} zeros, t_max "
           f"{zset.t_max:.6f} -> {out} (+ {manifest})")
     return 0

@@ -72,6 +72,7 @@ __all__ = [
     "dirichlet_explicit",
     "exponential_direct",
     "exponential_explicit",
+    "identity_series",
     "weighted_average_direct",
     "weighted_average_rhs",
     "weighted_average_explicit",
@@ -653,18 +654,29 @@ def _inner_series(table: SieveTable, d, limit):
     return convolve_fft(table, d - 1, limit).values
 
 
-def _prefix_pair(w: PolynomialWeight, table: SieveTable, d):
-    """Prefix sums p1 of v and p2 of S_(d-1) up to floor(eta b) + 1."""
+def identity_series(w: PolynomialWeight, table: SieveTable, d=2):
+    """S_(d-1)(0..floor(eta b) + 1), all of the inner series that both
+    sides of the weighted identity read: build it once and pass it to
+    weighted_average_direct and weighted_average_rhs as `inner`."""
     top = int(math.floor(w.eta * w.b)) + 1
     if top > table.limit:
         raise ValueError(
             f"the weighted identity needs sieve values to {top}, table "
             f"stops at {table.limit}")
+    return _inner_series(table, _order(d), top)
+
+
+def _prefix_pair(w: PolynomialWeight, table: SieveTable, d, inner=None):
+    """Prefix sums p1 of v and p2 of S_(d-1) up to floor(eta b) + 1."""
+    if inner is None:
+        inner = identity_series(w, table, d)
+    top = int(math.floor(w.eta * w.b)) + 1
     return (table.prefix[:top + 1],
-            np.cumsum(_inner_series(table, d, top), dtype=np.int64))
+            np.cumsum(inner[:top + 1], dtype=np.int64))
 
 
-def weighted_average_direct(w: PolynomialWeight, table: SieveTable, d=2):
+def weighted_average_direct(w: PolynomialWeight, table: SieveTable, d=2,
+                            inner=None):
     """Exact weighted sum over d-tuples, first index cut at eta*a.
 
     Computes the sum over eta*a < n <= eta*b and m >= 1 of
@@ -672,6 +684,8 @@ def weighted_average_direct(w: PolynomialWeight, table: SieveTable, d=2):
     S_(d-1) its (d-1)-fold additive convolution (S_1 = v).  The support
     of f imposes n + m < eta*b, so the sum is finite; everything is
     integer convolution work plus one f evaluation per attained total.
+    `inner`, when given, is identity_series(w, table, d); otherwise
+    S_(d-1) is built here.
     """
     d = _order(d)
     nb = w.eta * w.b
@@ -684,7 +698,9 @@ def weighted_average_direct(w: PolynomialWeight, table: SieveTable, d=2):
     vcut = table.values[:hi + 1].astype(np.int64)
     cut = int(math.floor(w.eta * w.a))
     vcut[:min(cut + 1, hi + 1)] = 0
-    totals = np.convolve(vcut, _inner_series(table, d, hi))[:hi + 1]
+    if inner is None:
+        inner = _inner_series(table, d, hi)
+    totals = np.convolve(vcut, inner[:hi + 1])[:hi + 1]
     idx = np.nonzero(totals)[0]
     if idx.size == 0:
         return 0.0
@@ -749,16 +765,18 @@ def _boundary_term(w: PolynomialWeight, p1, p2):
     return g1a * math.fsum(steps * (fv[1:] - fv[:-1]))
 
 
-def weighted_average_rhs(w: PolynomialWeight, table: SieveTable, d=2):
+def weighted_average_rhs(w: PolynomialWeight, table: SieveTable, d=2,
+                         inner=None):
     """Right-hand side of the exact weighted-average identity.
 
     The boundary term plus (1/eta) int f''(w) K(eta w) dw, where K is the
     exact convolution integral of the two step summatories.  This is an
     unconditional restatement of the double sum and must match
-    weighted_average_direct to rounding.
+    weighted_average_direct to rounding.  `inner`, when given, is
+    identity_series(w, table, d); otherwise S_(d-1) is built here.
     """
     d = _order(d)
-    p1, p2 = _prefix_pair(w, table, d)
+    p1, p2 = _prefix_pair(w, table, d, inner)
     na = w.eta * w.a
     nb = w.eta * w.b
     xs, ks = _kink_kernel(p1, p2, na, nb)

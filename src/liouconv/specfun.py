@@ -7,17 +7,24 @@ once at the end.
 
 The zeta evaluator is plain Euler-Maclaurin with an adaptive main-sum
 cutoff N, rounded up to 8 steps per octave.  One pass returns zeta and
-zeta' together, from one table of n^-s per block of points that share
-N: exp(-s log p) runs only for the primes p < N, and every composite is
+zeta' together, from tables of n^-s for chunks of points that share N:
+exp(-s log p) runs only for the primes p < N, and every composite is
 the product of two rows already in the table, p^-s (n/p)^-s with p the
-smallest prime factor of n.  That is accurate and simple for |Im s| up
-to a few times 1e4, which is all the desk-scale experiments need; no
-Riemann-Siegel here.
+smallest prime factor of n.  Each chunk's table is sized for one
+core's cache, and the chunks run on a thread pool with one worker per
+usable core (NumPy releases the GIL in the exp, the row gathers and
+products and the row sums).  Each point's sums are one contiguous
+pairwise sum over its own row, so every output bit is independent of
+the chunk size, the thread count and the other points in the batch.
+That is accurate and simple for |Im s| up to a few times 1e4, which is
+all the desk-scale experiments need; no Riemann-Siegel here.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 import numpy as np
@@ -29,6 +36,7 @@ __all__ = [
     "zeta",
     "zeta_pair",
     "zeta_half",
+    "zeta_threads",
     "log_gamma_abs_half_line",
     "log_gamma_abs_lower_bound",
 ]
@@ -43,8 +51,13 @@ _j = np.arange(1, _EM_CORRECTION_TERMS + 1)
 _EM_BERN = (-1.0) ** (_j + 1) * 2.0 * _real_zeta(2.0 * _j) / (2.0 * np.pi) ** (2 * _j)
 del _j
 
-# Entries of one n^-s table (cutoff x points), about 4 MB of complex128.
-_CHUNK_ENTRIES = 250_000
+# Entries of one chunk's n^-s table (cutoff x points): 96k complex128 is
+# 1.5 MB, plus as much again for its point-major copy, near one core's
+# L2.  On two cores 32k and 64k entries lost to per-chunk overhead and
+# 96k-128k tied.  All threads together stay within _TABLE_ENTRIES, so
+# peak memory does not grow with the core count.
+_CHUNK_ENTRIES = 96_000
+_TABLE_ENTRIES = 250_000
 
 _ZETA_HALF: Optional[complex] = None
 
@@ -115,30 +128,35 @@ def _factor_layers(cutoff: int) -> tuple[np.ndarray, list]:
     return np.nonzero(is_prime)[0], layers
 
 
-def _zeta_em_block(s: np.ndarray,
-                   cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Euler-Maclaurin core for a flat array of s sharing one cutoff N:
-    (zeta(s), zeta'(s)) from one table of n^-s, 1 <= n < N."""
-    primes, layers = _factor_layers(cutoff)
-    logn = np.log(np.arange(1, cutoff, dtype=np.float64))
-    total = np.empty(s.shape, dtype=np.complex128)
-    dtotal = np.empty(s.shape, dtype=np.complex128)
-    rows = max(1, _CHUNK_ENTRIES // cutoff)
-    for lo in range(0, s.size, rows):
-        sl = s[lo:lo + rows]
-        # n-major, so each layer fills whole contiguous rows at once
-        table = np.empty((cutoff, sl.size), dtype=np.complex128)
-        table[1] = 1.0
-        table[primes] = np.exp(-logn[primes - 1, None] * sl)
-        for n, p, q in layers:
-            table[n] = table[p] * table[q]
-        # point-major for the sums: each point is one contiguous pairwise
-        # sum, so its bits do not depend on the other points in the chunk
-        powers = np.ascontiguousarray(table[1:].T)
-        total[lo:lo + rows] = powers.sum(axis=1)
-        powers *= logn
-        dtotal[lo:lo + rows] = -powers.sum(axis=1)
+def zeta_threads() -> int:
+    """Worker threads of the zeta pass: one per core this process may use."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
+
+def _power_sums(s, cutoff, primes, layers, logn, total, dtotal) -> None:
+    """Write sum n^-s and -sum n^-s log n, 1 <= n < cutoff, for each
+    point of s into total and dtotal, from one table of n^-s."""
+    # n-major, so each layer fills whole contiguous rows at once
+    table = np.empty((cutoff, s.size), dtype=np.complex128)
+    table[1] = 1.0
+    table[primes] = np.exp(-logn[primes - 1, None] * s)
+    for n, p, q in layers:
+        table[n] = table[p] * table[q]
+    # point-major for the sums: each point is one contiguous pairwise
+    # sum, so its bits do not depend on the other points in the chunk
+    powers = np.ascontiguousarray(table[1:].T)
+    total[:] = powers.sum(axis=1)
+    powers *= logn
+    dtotal[:] = -powers.sum(axis=1)
+
+
+def _em_finish(s: np.ndarray, cutoff: int, total: np.ndarray,
+               dtotal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Euler-Maclaurin tail and corrections for a flat array of s sharing
+    one cutoff N: (zeta(s), zeta'(s)) from the main sums over n < N."""
     big_n = float(cutoff)
     lg = math.log(big_n)
     n_pow = np.exp(-s * lg)          # N^-s
@@ -193,16 +211,40 @@ def zeta_pair(s):
     if np.any(np.abs(flat - 1.0) <= 1e-6):
         raise ValueError("zeta: evaluation too close to the pole at s = 1")
 
-    out = np.empty(flat.shape, dtype=np.complex128)
-    dout = np.empty(flat.shape, dtype=np.complex128)
     # Bucket by required cutoff, 8 buckets per octave, so mixed batches do
     # not all pay for the largest |Im s|; the bucket is a function of the
-    # point alone.
+    # point alone.  Sorting by bucket makes each chunk a contiguous slice.
     buckets = np.array([_em_bucket(_em_cutoff(abs(t))) for t in flat.imag],
                        dtype=np.int64)
-    for b in np.unique(buckets):
-        mask = buckets == b
-        out[mask], dout[mask] = _zeta_em_block(flat[mask], int(b))
+    order = np.argsort(buckets, kind="stable")
+    pts = flat[order]
+    total = np.empty(pts.shape, dtype=np.complex128)
+    dtotal = np.empty(pts.shape, dtype=np.complex128)
+    cutoffs, firsts = np.unique(buckets[order], return_index=True)
+    spans = list(zip(cutoffs.tolist(), firsts.tolist(),
+                     firsts[1:].tolist() + [pts.size]))
+    threads = zeta_threads()
+    entries = min(_CHUNK_ENTRIES, _TABLE_ENTRIES // threads)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        jobs = []
+        for cutoff, lo, hi in spans:
+            primes, layers = _factor_layers(cutoff)
+            logn = np.log(np.arange(1, cutoff, dtype=np.float64))
+            rows = max(1, entries // cutoff)
+            for a in range(lo, hi, rows):
+                b = min(a + rows, hi)
+                jobs.append(pool.submit(_power_sums, pts[a:b], cutoff, primes,
+                                        layers, logn, total[a:b],
+                                        dtotal[a:b]))
+        for job in jobs:
+            job.result()
+    for cutoff, lo, hi in spans:
+        total[lo:hi], dtotal[lo:hi] = _em_finish(
+            pts[lo:hi], cutoff, total[lo:hi], dtotal[lo:hi])
+    out = np.empty_like(total)
+    dout = np.empty_like(dtotal)
+    out[order] = total
+    dout[order] = dtotal
     return (_unwrap(out.reshape(arr.shape), scalar),
             _unwrap(dout.reshape(arr.shape), scalar))
 

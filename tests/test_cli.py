@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from liouconv import cli, sieve, zeros
+from liouconv import cli, sieve, specfun, zeros
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +166,9 @@ def test_zeros_enrich_and_reuse(tmp_path):
                      "--count", "30", "--output", str(cache)]) == 0
     back = zeros.load_cache(cache)
     assert len(back) == 30
+    manifest = json.loads((tmp_path / "cache.npz.manifest.json").read_text())
+    assert manifest["results"]["count"] == 30
+    assert manifest["results"]["threads"] == specfun.zeta_threads() >= 1
     report = tmp_path / "L.csv"
     assert cli.main(["verify", "L", "--limit", "500", "--zeros", str(cache),
                      "--samples", "linear:3:50:500",

@@ -407,6 +407,12 @@ def test_exact_identity_spot(kind):
         direct = explicit.weighted_average_direct(w, table, d=d)
         rhs = explicit.weighted_average_rhs(w, table, d=d)
         assert abs(direct - rhs) / max(1.0, abs(direct)) < 1e-10
+        # one shared S_(d-1) gives both sides the same values bit for bit
+        inner = explicit.identity_series(w, table, d=d)
+        assert explicit.weighted_average_direct(w, table, d=d,
+                                                inner=inner) == direct
+        assert explicit.weighted_average_rhs(w, table, d=d,
+                                             inner=inner) == rhs
 
 
 def test_polynomial_weight_moments_against_quadrature():

@@ -1,6 +1,7 @@
 """Special-function layer against mpmath and closed-form identities."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -75,11 +76,14 @@ def test_zeta_against_mpmath(rng):
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
-def test_zeta_batch_matches_scalar(rng):
+def test_zeta_batch_matches_scalar(rng, monkeypatch):
     pts = [complex(rng.uniform(0.5, 2.0), rng.uniform(-300.0, 300.0))
            for _ in range(12)]
     # three more cutoff buckets, several points in one chunk for the last
     pts += [0.5 + 2500.0j, 0.5 + 6000.0j, 0.5 + 9990.0j, 0.5 + 9995.0j]
+    # 200 more in that last bucket span several chunks, so several
+    # threads fill it
+    pts += list(0.5 + 1j * rng.uniform(9980.0, 9995.0, 200))
     pts = np.array(pts)
     batch, dbatch = specfun.zeta_pair(pts)
     assert np.array_equal(batch, specfun.zeta(pts))
@@ -87,6 +91,18 @@ def test_zeta_batch_matches_scalar(rng):
         one, done = specfun.zeta_pair(complex(s))
         assert batch[i] == one
         assert dbatch[i] == done
+    # one worker with the largest chunks, then more workers than cores
+    # with smaller chunks and a short switch interval: the same bits
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for threads in (1, 8):
+            monkeypatch.setattr(specfun, "zeta_threads", lambda: threads)
+            again, dagain = specfun.zeta_pair(pts)
+            assert again.tobytes() == batch.tobytes()
+            assert dagain.tobytes() == dbatch.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_zeta_derivative_against_mpmath(rng):

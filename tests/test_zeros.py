@@ -51,6 +51,15 @@ def test_enrich_against_mpmath():
         assert complex(zset.z2rhos[k]) == pytest.approx(want_z2, rel=1e-9)
 
 
+def test_enrich_of_a_prefix_is_a_prefix_of_the_enrichment():
+    # the zeta pass splits its batch into chunks by cutoff and core count;
+    # no coefficient may depend on which other zeros share its batch
+    ords = zeros.bundled_ordinates(1000)
+    small, large = zeros.enrich(ords[:300]), zeros.enrich(ords)
+    assert small.zprimes.tobytes() == large.zprimes[:300].tobytes()
+    assert small.z2rhos.tobytes() == large.z2rhos[:300].tobytes()
+
+
 def test_enrich_frozen_first_zero_coefficient(zs1000):
     assert complex(zs1000.zprimes[0]) == pytest.approx(
         0.7832965118670309 + 0.1246998297481711j, rel=1e-9)
