@@ -1,21 +1,21 @@
 #!/usr/bin/env python3
 """Compare the verify reports and zero enrichment of two source trees.
 
-Each tree enriches the first 1000 bundled ordinates, and the script
-prints the largest relative move of zeta'(rho) and of zeta(2 rho), or
-"identical" when both arrays match bit for bit.  Each tree also runs
-the same 15 `verify` cases (every target at small sizes, plus
-`dfold --d 4`, `dirichlet --s 3` and `weighted --d 3` with zeros,
-`identity` over six trials, which reach both kinds at d = 2 and 3 and
-the boundary term, and L and M at 3e6, where the sieve tables span
-several segments) in its own interpreter, against one shared 80-zero
-cache made by the new tree, inside a temporary directory.  For each case
-the script prints "identical" when the two CSV reports match byte for
-byte.  Otherwise it prints each moved column with its largest |change|
-over max(1, |main|, |single|, |double|, |direct|, |total|) of the row
-(the old tree's values), each moved summary key with |change| over
-max(1, |old|), and "header differs" or "changed" for anything that is
-not a float.
+Each tree enriches all 10^4 bundled ordinates (gamma up to about 9878),
+and the script prints, for zeta'(rho) and for zeta(2 rho), "identical"
+when the arrays match bit for bit and the largest relative move
+otherwise.  Each tree also runs the same 15 `verify` cases (every
+target at small sizes, plus `dfold --d 4`, `dirichlet --s 3` and
+`weighted --d 3` with zeros, `identity` over six trials, which reach
+both kinds at d = 2 and 3 and the boundary term, and L and M at 3e6,
+where the sieve tables span several segments) in its own interpreter,
+against one shared 80-zero cache made by the new tree, inside a
+temporary directory.  For each case the script prints "identical" when
+the two CSV reports match byte for byte.  Otherwise it prints each
+moved column with its largest |change| over max(1, |main|, |single|,
+|double|, |direct|, |total|) of the row (the old tree's values), each
+moved summary key with |change| over max(1, |old|), and "header
+differs" or "changed" for anything that is not a float.
 
 The exit status is 0 when the enrichment and every report are
 identical, and 1 when anything moved, so byte-identity can be checked
@@ -71,7 +71,7 @@ cache, out, cases = sys.argv[1], sys.argv[2], sys.argv[3:]
 if out == "-":
     zeros.save_cache(zeros.enrich(zeros.bundled_ordinates(80)), cache)
     sys.exit(0)
-zset = zeros.enrich(zeros.bundled_ordinates(1000))
+zset = zeros.enrich(zeros.bundled_ordinates())
 np.save(f"{out}/enrich.npy", np.stack([zset.zprimes, zset.z2rhos]))
 for i in range(0, len(cases), 2):
     name, argv = cases[i], cases[i + 1].split("\\x1f")
@@ -151,11 +151,14 @@ def compare(old_text, new_text):
 
 
 def compare_enrichment(old, new):
-    """One line: the largest relative move of zeta'(rho) and zeta(2 rho)."""
+    """One line: "identical", or for zeta'(rho) and zeta(2 rho) each
+    "identical" or the largest relative move."""
     if np.array_equal(old, new):
         return "identical"
-    moves = np.max(np.abs(new - old) / np.abs(old), axis=1)
-    return f"zeta'(rho) {moves[0]:.2e}, zeta(2 rho) {moves[1]:.2e}"
+    moves = [("identical" if a.tobytes() == b.tobytes()
+              else f"{np.max(np.abs(b - a) / np.abs(a)):.2e}")
+             for a, b in zip(old, new)]
+    return f"zeta'(rho) {moves[0]}, zeta(2 rho) {moves[1]}"
 
 
 def main(argv=None):
@@ -177,7 +180,7 @@ def main(argv=None):
             outs.append(out)
         width = max(map(len, CASES))
         enriched = [np.load(out / "enrich.npy") for out in outs]
-        lines = {"enrich-1000": compare_enrichment(*enriched)}
+        lines = {"enrich-10000": compare_enrichment(*enriched)}
         for name in CASES:
             texts = [(out / f"{name}.csv").read_text() for out in outs]
             lines[name] = compare(*texts)

@@ -193,5 +193,6 @@ def export_csv(series: ConvolutionSeries, path) -> None:
     with open(path, "w") as fh:
         fh.write("n,value\n")
         for s in range(series.d, series.limit + 1, _BLOCK):
-            rows = series.values[s:s + _BLOCK].tolist()
-            fh.write("".join([f"{n},{v}\n" for n, v in enumerate(rows, s)]))
+            rows = series.values[s:s + _BLOCK]
+            pairs = np.column_stack((np.arange(s, s + rows.size), rows))
+            fh.write(("%d,%d\n" * rows.size) % tuple(pairs.ravel().tolist()))

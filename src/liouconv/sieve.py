@@ -161,8 +161,12 @@ def growth_diagnostic(table: SieveTable) -> float:
     """
     worst = 0.0
     for a, b in _segments(100, table.limit):
+        peak = np.abs(table.prefix[a:b])
+        # every k >= a, so no ratio here can exceed peak.max() / a^0.6
+        if peak.max() / a ** 0.6 * (1 + 1e-9) < worst:
+            continue
         k = np.arange(a, b, dtype=np.float64)
-        worst = max(worst, float((np.abs(table.prefix[a:b]) / k ** 0.6).max()))
+        worst = max(worst, float((peak / k ** 0.6).max()))
     return worst
 
 

@@ -6,26 +6,28 @@ below 1e-35, so ratios must be assembled from log_gamma and exponentiated
 once at the end.
 
 The zeta evaluator is plain Euler-Maclaurin with an adaptive main-sum
-cutoff N, rounded up to 8 steps per octave.  One pass returns zeta and
-zeta' together, from tables of n^-s for chunks of points that share N:
-exp(-s log p) runs only for the primes p < N, and every composite is
-the product of two rows already in the table, p^-s (n/p)^-s with p the
-smallest prime factor of n.  Each chunk's table is sized for one
-core's cache, and the chunks run on a thread pool with one worker per
-usable core (NumPy releases the GIL in the exp, the row gathers and
-products and the row sums).  Each point's sums are one contiguous
-pairwise sum over its own row, so every output bit is independent of
-the chunk size, the thread count and the other points in the batch.
-That is accurate and simple for |Im s| up to a few times 1e4, which is
-all the desk-scale experiments need; no Riemann-Siegel here.
+cutoff N, rounded up to 8 steps per octave.  One pass gives up to three
+sums from one table of n^-s per chunk of points: zeta(s) and zeta'(s)
+over n < N, and zeta(2s) over the squared table, n^-2s = (n^-s)^2, up to
+the cutoff of a zeta call at 2s, which sets the table length.  The
+exp(-s log p) runs only for the primes p, and each composite n is
+p^-s (n/p)^-s from two rows already there, p its least prime factor.
+Each chunk's table is sized for one core's cache, and the chunks run on
+a thread pool with one worker per usable core (NumPy releases the GIL in
+the exp, the row gathers and products and the row sums).  Each sum is one
+pairwise sum over the start of a point's own row, so every output bit is
+independent of the chunk size, the thread count, the table length and
+the other points in the batch.  That is accurate and simple for |Im s| up
+to a few times 1e4, which is all the desk-scale experiments need; no
+Riemann-Siegel here.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Optional
 
 import numpy as np
 from scipy.special import loggamma as _scipy_loggamma
@@ -35,6 +37,7 @@ __all__ = [
     "log_gamma",
     "zeta",
     "zeta_pair",
+    "zeta_triple",
     "zeta_half",
     "zeta_threads",
     "log_gamma_abs_half_line",
@@ -58,8 +61,6 @@ del _j
 # peak memory does not grow with the core count.
 _CHUNK_ENTRIES = 96_000
 _TABLE_ENTRIES = 250_000
-
-_ZETA_HALF: Optional[complex] = None
 
 
 def _as_complex_array(z, name: str) -> tuple[np.ndarray, bool]:
@@ -92,10 +93,15 @@ def log_gamma(z):
     return _unwrap(_scipy_loggamma(arr), scalar)
 
 
-def _em_cutoff(tmax: float) -> int:
-    # Keep the correction-term ratio (|t| + 2J)/(2 pi N) at or under 1/2.
-    n = int(math.ceil((tmax + 2.0 * _EM_CORRECTION_TERMS + 10.0) / math.pi))
-    return max(n, 30)
+def _em_cutoffs(t) -> np.ndarray:
+    """Main-sum lengths N for the ordinates t: the least N >= 30 with
+    (|t| + 2J + 10)/(2 pi N) <= 1/2, rounded up to a multiple of
+    2^(floor(log2 N) - 3), 8 steps per octave, so that mixed batches
+    share few lengths.  Each N is a function of its own t alone."""
+    need = np.ceil((np.abs(t) + 2.0 * _EM_CORRECTION_TERMS + 10.0) / math.pi)
+    need = np.maximum(need, 30).astype(np.int64)
+    step = np.left_shift(1, np.maximum(np.frexp(need)[1] - 4, 0))
+    return -(-need // step) * step
 
 
 def _factor_layers(cutoff: int) -> tuple[np.ndarray, list]:
@@ -136,130 +142,138 @@ def zeta_threads() -> int:
         return os.cpu_count() or 1
 
 
-def _power_sums(s, cutoff, primes, layers, logn, total, dtotal) -> None:
-    """Write sum n^-s and -sum n^-s log n, 1 <= n < cutoff, for each
-    point of s into total and dtotal, from one table of n^-s."""
+def _power_sums(s, cut, cut2, plan, total, dtotal, total2) -> None:
+    """For the points s of one chunk, from one table of n^-s: sum n^-s and
+    -sum n^-s log n over n < cut into total and dtotal, then, unless total2
+    is None, sum n^-2s over n < cut2 into it from the squared table."""
+    primes, layers, logn = plan
     # n-major, so each layer fills whole contiguous rows at once
-    table = np.empty((cutoff, s.size), dtype=np.complex128)
+    table = np.empty((logn.size + 1, s.size), dtype=np.complex128)
     table[1] = 1.0
     table[primes] = np.exp(-logn[primes - 1, None] * s)
     for n, p, q in layers:
         table[n] = table[p] * table[q]
-    # point-major for the sums: each point is one contiguous pairwise
-    # sum, so its bits do not depend on the other points in the chunk
+    # point-major: each sum is one pairwise sum over the start of a row,
+    # independent of the other points in the chunk and the table length
     powers = np.ascontiguousarray(table[1:].T)
-    total[:] = powers.sum(axis=1)
-    powers *= logn
-    dtotal[:] = -powers.sum(axis=1)
+    del table
+    head = powers[:, :cut - 1]
+    total[:] = head.sum(axis=1)
+    dtotal[:] = -(head * logn[:cut - 1]).sum(axis=1)
+    if total2 is not None:
+        powers *= powers
+        total2[:] = powers[:, :cut2 - 1].sum(axis=1)
 
 
-def _em_finish(s: np.ndarray, cutoff: int, total: np.ndarray,
-               dtotal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Euler-Maclaurin tail and corrections for a flat array of s sharing
-    one cutoff N: (zeta(s), zeta'(s)) from the main sums over n < N."""
-    big_n = float(cutoff)
-    lg = math.log(big_n)
+def _em_finish(s, cut, total, dtotal=None):
+    """Euler-Maclaurin tail and J corrections for a flat array of s with
+    per-point cutoffs N: [zeta(s)] from the main sums over n < N in
+    total, plus zeta'(s) when dtotal holds the derivative sums."""
+    big_n = cut.astype(np.float64)
+    # libm's log of each distinct N (np.log differs in the last bit for some)
+    lengths, at = np.unique(cut, return_inverse=True)
+    lg = np.array([math.log(n) for n in lengths.tolist()])[at]
     n_pow = np.exp(-s * lg)          # N^-s
     sm1 = s - 1.0
-    tail = big_n * n_pow / sm1       # N^(1-s)/(s-1)
-    half = 0.5 * n_pow
-    total = total + tail + half
-    dtotal = dtotal - big_n * n_pow * (lg / sm1 + 1.0 / (sm1 * sm1))
-    dtotal = dtotal - 0.5 * lg * n_pow
+    total = total + big_n * n_pow / sm1 + 0.5 * n_pow
+    if dtotal is not None:
+        dtotal = dtotal - big_n * n_pow * (lg / sm1 + 1.0 / (sm1 * sm1))
+        dtotal = dtotal - 0.5 * lg * n_pow
 
     # Correction terms, built by recurrence so no intermediate factor can
     # overflow: term_j = term_{j-1} * (b_j/b_{j-1}) * (s+2j-3)(s+2j-2) / N^2.
     term = _EM_BERN[0] * big_n * n_pow / (big_n * big_n) * s
     recip = 1.0 / s                  # sum over the Pochhammer factors
-    total = total + term
-    dtotal = dtotal + term * (recip - lg)
     inv_n2 = 1.0 / (big_n * big_n)
-    for j in range(2, _EM_CORRECTION_TERMS + 1):
-        ratio = (_EM_BERN[j - 1] / _EM_BERN[j - 2]) * inv_n2
-        f1 = s + (2 * j - 3)
-        f2 = s + (2 * j - 2)
-        term = term * ratio * f1 * f2
-        recip = recip + 1.0 / f1 + 1.0 / f2
+    for j in range(1, _EM_CORRECTION_TERMS + 1):
+        if j > 1:
+            f1, f2 = s + (2 * j - 3), s + (2 * j - 2)
+            term = term * ((_EM_BERN[j - 1] / _EM_BERN[j - 2]) * inv_n2) * f1 * f2
+            recip = recip + 1.0 / f1 + 1.0 / f2
         total = total + term
-        dtotal = dtotal + term * (recip - lg)
-    return total, dtotal
+        if dtotal is not None:
+            dtotal = dtotal + term * (recip - lg)
+    return [total] if dtotal is None else [total, dtotal]
 
 
-def _em_bucket(need: int) -> int:
-    """need rounded up to a multiple of 2^(floor(log2 need) - 3)."""
-    step = 1 << max(need.bit_length() - 4, 0)
-    return -(-need // step) * step
-
-
-def zeta_pair(s):
-    """(zeta(s), zeta'(s)) by Euler-Maclaurin for Re s >= 0.4, s away from 1.
-
-    The main-sum length N is picked from |Im s| so the relative error
-    stays at or below 1e-10 for |Im s| <= 2e4; zeta' is the term-wise
-    derivative of the same sum.
-
-    Args:
-        s: complex scalar or array.
-
-    Returns:
-        Two values (scalars) or arrays with the shape of the input.
-    """
+def _em_zeta(s, doubled=False) -> list:
+    """[zeta(s), zeta'(s)], then zeta(2s) if doubled, by Euler-Maclaurin
+    for Re s >= 0.4, s and 2s away from 1.  Each is a scalar or an array
+    with the shape of s."""
     arr, scalar = _as_complex_array(s, "zeta")
     flat = np.atleast_1d(arr).ravel()
     if np.any(flat.real < 0.4):
         raise ValueError("zeta: Re s < 0.4 is outside the configured domain")
-    if np.any(np.abs(flat - 1.0) <= 1e-6):
+    if np.any(np.abs(flat - 1.0) <= 1e-6) or (
+            doubled and np.any(np.abs(2.0 * flat - 1.0) <= 1e-6)):
         raise ValueError("zeta: evaluation too close to the pole at s = 1")
 
-    # Bucket by required cutoff, 8 buckets per octave, so mixed batches do
-    # not all pay for the largest |Im s|; the bucket is a function of the
-    # point alone.  Sorting by bucket makes each chunk a contiguous slice.
-    buckets = np.array([_em_bucket(_em_cutoff(abs(t))) for t in flat.imag],
-                       dtype=np.int64)
-    order = np.argsort(buckets, kind="stable")
+    cut = _em_cutoffs(flat.imag)
+    cut2 = _em_cutoffs(2.0 * flat.imag) if doubled else cut
+    # Sorting by (cut2, cut), cut2 >= cut being the table length, makes
+    # each chunk a contiguous slice of points sharing a table and cutoffs.
+    keys, inverse, counts = np.unique(
+        np.stack([cut2, cut], axis=1), axis=0,
+        return_inverse=True, return_counts=True)
+    order = np.argsort(inverse.ravel(), kind="stable")
     pts = flat[order]
-    total = np.empty(pts.shape, dtype=np.complex128)
-    dtotal = np.empty(pts.shape, dtype=np.complex128)
-    cutoffs, firsts = np.unique(buckets[order], return_index=True)
-    spans = list(zip(cutoffs.tolist(), firsts.tolist(),
-                     firsts[1:].tolist() + [pts.size]))
+    # sum n^-s, -sum n^-s log n and, if doubled, sum n^-2s
+    sums = [np.empty_like(pts), np.empty_like(pts),
+            np.empty_like(pts) if doubled else None]
     threads = zeta_threads()
     entries = min(_CHUNK_ENTRIES, _TABLE_ENTRIES // threads)
+    # One factorisation, for the longest table: the primes and each layer
+    # are ascending, so a shorter table's plan is a prefix of it.
+    primes, layers = _factor_layers(int(keys[-1, 0]))
+    logn = np.log(np.arange(1, keys[-1, 0], dtype=np.float64))
     with ThreadPoolExecutor(max_workers=threads) as pool:
         jobs = []
-        for cutoff, lo, hi in spans:
-            primes, layers = _factor_layers(cutoff)
-            logn = np.log(np.arange(1, cutoff, dtype=np.float64))
-            rows = max(1, entries // cutoff)
-            for a in range(lo, hi, rows):
-                b = min(a + rows, hi)
-                jobs.append(pool.submit(_power_sums, pts[a:b], cutoff, primes,
-                                        layers, logn, total[a:b],
-                                        dtotal[a:b]))
+        for (size, c1), hi, count in zip(keys.tolist(),
+                                         np.cumsum(counts).tolist(),
+                                         counts.tolist()):
+            plan = (primes[:np.searchsorted(primes, size)],
+                    [(n[:k], p[:k], q[:k]) for n, p, q in layers
+                     for k in [np.searchsorted(n, size)]], logn[:size - 1])
+            rows = max(1, entries // size)
+            for a in range(hi - count, hi, rows):
+                part = slice(a, min(a + rows, hi))
+                jobs.append(pool.submit(
+                    _power_sums, pts[part], c1, size, plan,
+                    *(x if x is None else x[part] for x in sums)))
         for job in jobs:
             job.result()
-    for cutoff, lo, hi in spans:
-        total[lo:hi], dtotal[lo:hi] = _em_finish(
-            pts[lo:hi], cutoff, total[lo:hi], dtotal[lo:hi])
-    out = np.empty_like(total)
-    dout = np.empty_like(dtotal)
-    out[order] = total
-    dout[order] = dtotal
-    return (_unwrap(out.reshape(arr.shape), scalar),
-            _unwrap(dout.reshape(arr.shape), scalar))
+    out = _em_finish(pts, cut[order], *sums[:2])
+    if doubled:
+        out += _em_finish(2.0 * pts, cut2[order], sums[2])
+    back = np.argsort(order)
+    return [_unwrap(x[back].reshape(arr.shape), scalar) for x in out]
+
+
+def zeta_pair(s):
+    """(zeta(s), zeta'(s)) by Euler-Maclaurin for Re s >= 0.4, s away from
+    1, as scalars or arrays with the shape of s.  The main-sum length N
+    is picked from |Im s| so the relative error stays at or below 1e-10
+    for |Im s| <= 2e4; zeta' is the term-wise derivative of the same sum.
+    """
+    return tuple(_em_zeta(s))
+
+
+def zeta_triple(s):
+    """(zeta(s), zeta'(s), zeta(2s)): zeta_pair(s), bit for bit, and
+    zeta(2s) from the squares of the same n^-s table, with the cutoff and
+    corrections of zeta(2s).  2s must stay away from 1 too."""
+    return tuple(_em_zeta(s, doubled=True))
 
 
 def zeta(s):
     """Riemann zeta, the first half of zeta_pair(s)."""
-    return zeta_pair(s)[0]
+    return _em_zeta(s)[0]
 
 
+@functools.cache
 def zeta_half() -> float:
     """zeta(1/2), computed once and cached."""
-    global _ZETA_HALF
-    if _ZETA_HALF is None:
-        _ZETA_HALF = zeta(0.5)
-    return _ZETA_HALF.real
+    return zeta(0.5).real
 
 
 def _log_cosh_pi(y):

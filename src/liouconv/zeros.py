@@ -110,8 +110,10 @@ def load_ordinates(source) -> list[float]:
 def enrich(ordinates) -> ZeroSet:
     """Attach zeta'(rho) and zeta(2 rho) to each ordinate.
 
-    One specfun.zeta_pair call gives zeta(rho), for the residual check,
-    and zeta'(rho); one specfun.zeta call gives zeta(1 + 2 i gamma).
+    One specfun.zeta_triple call gives all three sums from one table of
+    n^-rho per chunk of zeros: zeta(rho), for the residual check, and
+    zeta'(rho) from the start of the table, bit for bit as zeta_pair
+    gives them; zeta(2 rho) = zeta(1 + 2 i gamma) from its squares.
 
     Args:
         ordinates: ascending positive ordinates (list or array).
@@ -126,7 +128,7 @@ def enrich(ordinates) -> ZeroSet:
     if g.size == 0:
         return ZeroSet(gammas=g, zprimes=np.empty(0, np.complex128),
                        z2rhos=np.empty(0, np.complex128))
-    zetas, zprimes = specfun.zeta_pair(0.5 + 1j * g)
+    zetas, zprimes, z2 = specfun.zeta_triple(0.5 + 1j * g)
     residual = np.abs(zetas)
     bad = np.nonzero(residual >= RESIDUAL_TOL)[0]
     if bad.size:
@@ -140,7 +142,6 @@ def enrich(ordinates) -> ZeroSet:
         raise ValueError(
             f"ordinate {g[k]!r}: |zeta'(rho)| = {np.abs(zprimes[k]):.3e} "
             f"< {_MIN_ZPRIME}; simple-zero assumption violated")
-    z2 = np.asarray(specfun.zeta(1.0 + 2j * g), dtype=np.complex128)
     return ZeroSet(gammas=g, zprimes=zprimes, z2rhos=z2)
 
 

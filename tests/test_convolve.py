@@ -143,6 +143,17 @@ def test_export_csv_roundtrip(tmp_path):
         assert parsed[n] == int(series.values[n])
 
 
+def test_export_csv_bytes_across_blocks(tmp_path):
+    # 70000 rows span two output blocks; every row is "n,value\n"
+    table = sieve.build_sieve(sieve.KIND_MOEBIUS, 70000)
+    series = convolve.convolve_fft(table, 3, 70000)
+    path = tmp_path / "series.csv"
+    convolve.export_csv(series, path)
+    rows = "".join(f"{n},{int(series.values[n])}\n" for n in range(3, 70001))
+    assert path.read_text() == "n,value\n" + rows
+    assert series.values.min() < 0 < series.values.max()
+
+
 def test_argument_validation():
     table = sieve.build_sieve(sieve.KIND_LIOUVILLE, 100)
     with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from liouconv import specfun
+from liouconv import specfun, zeros
 
 mpmath.mp.dps = 30
 
@@ -105,6 +105,51 @@ def test_zeta_batch_matches_scalar(rng, monkeypatch):
         sys.setswitchinterval(interval)
 
 
+def test_zeta_triple_shares_zeta_pair_bits(rng):
+    # zeta(s) and zeta'(s) come from the start of the longer table that
+    # zeta(2s) needs, with zeta_pair's cutoffs and sums, bit for bit
+    gammas = np.array(zeros.bundled_ordinates()[::25])
+    pts = np.concatenate([0.5 + 1j * gammas, rng.uniform(0.5, 2.0, 40)
+                          + 1j * rng.uniform(-300.0, 300.0, 40)])
+    z, dz, z2 = specfun.zeta_triple(pts)
+    pz, pdz = specfun.zeta_pair(pts)
+    assert z.tobytes() == pz.tobytes()
+    assert dz.tobytes() == pdz.tobytes()
+    assert specfun.zeta_triple(complex(pts[3]))[2] == z2[3]
+
+
+def test_zeta_triple_double_against_mpmath():
+    # zeta(2 rho) = zeta(1 + 2 i gamma) at the first and last bundled zero
+    for g in (zeros.bundled_ordinates()[0], zeros.bundled_ordinates()[-1]):
+        got = specfun.zeta_triple(0.5 + 1j * g)[2]
+        want = complex(mpmath.zeta(mpmath.mpc(1.0, 2.0 * g)))
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_zeta_triple_double_ignores_threads(rng, monkeypatch):
+    pts = 0.5 + 1j * np.concatenate([rng.uniform(14.0, 3000.0, 30),
+                                     rng.uniform(9980.0, 9995.0, 200)])
+    batch = specfun.zeta_triple(pts)[2]
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for threads in (1, 8):
+            monkeypatch.setattr(specfun, "zeta_threads", lambda: threads)
+            assert specfun.zeta_triple(pts)[2].tobytes() == batch.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_double_cutoff_covers_the_single_one():
+    # the table is as long as the zeta(2 rho) sum, and the zeta(rho) and
+    # zeta'(rho) sums run over its start, so N_2rho >= N_rho must hold
+    g = np.concatenate([np.linspace(14.0, 2e5, 2_000_001),
+                        np.array(zeros.bundled_ordinates())])
+    single = specfun._em_cutoffs(g)
+    double = specfun._em_cutoffs(2.0 * g)
+    assert np.all(double >= single)
+
+
 def test_zeta_derivative_against_mpmath(rng):
     pts = [complex(rng.uniform(0.5, 2.0), rng.uniform(-150.0, 150.0))
            for _ in range(10)]
@@ -129,6 +174,8 @@ def test_zeta_domain_guards():
         specfun.zeta(0.2 + 5.0j)
     with pytest.raises(ValueError):
         specfun.zeta(1.0 + 1e-9j)
+    with pytest.raises(ValueError):      # 2s at the pole
+        specfun.zeta_triple(0.5 + 1e-8j)
 
 
 @pytest.mark.parametrize("cutoff", [2, 3, 4, 31, 4097])

@@ -60,6 +60,22 @@ def test_enrich_of_a_prefix_is_a_prefix_of_the_enrichment():
     assert small.z2rhos.tobytes() == large.z2rhos[:300].tobytes()
 
 
+def test_enrich_matches_zeta_pair_bits(zs10k):
+    # one n^-rho table per chunk serves zeta(2 rho) too; zeta'(rho) keeps
+    # the bits of a zeta_pair call at the same points
+    zprimes = specfun.zeta_pair(0.5 + 1j * zs10k.gammas)[1]
+    assert zs10k.zprimes.tobytes() == zprimes.tobytes()
+
+
+def test_enrich_double_matches_a_direct_zeta(zs10k):
+    # zeta(2 rho) from the squared table keeps a direct zeta(1 + 2 i gamma)
+    # call's cutoff, so the two differ only by the rounding of the
+    # squares; a different cutoff moves it by up to ~4e-13 near 1e4
+    direct = specfun.zeta(1.0 + 2j * zs10k.gammas)
+    rel = np.abs(zs10k.z2rhos - direct) / np.abs(direct)
+    assert rel.max() < 1e-14
+
+
 def test_enrich_frozen_first_zero_coefficient(zs1000):
     assert complex(zs1000.zprimes[0]) == pytest.approx(
         0.7832965118670309 + 0.1246998297481711j, rel=1e-9)
