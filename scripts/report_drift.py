@@ -17,9 +17,16 @@ moved column with its largest |change| over max(1, |main|, |single|,
 moved summary key with |change| over max(1, |old|), and "header
 differs" or "changed" for anything that is not a float.
 
-The exit status is 0 when the enrichment and every report are
-identical, and 1 when anything moved, so byte-identity can be checked
-by exit status alone.
+Each tree also writes the exact side's artifacts in a fresh
+interpreter: the lambda table to 1e7 and the mu table to 3e6 in the
+binary sign-table format, and the CSV of S_d for lambda at d = 2 to
+2^20, d = 3 to 1e5 and d = 9 to 2000 (where the last folds split into
+two limbs).  Each prints "identical" when the two files match byte for
+byte, and otherwise the first byte offset where they differ.
+
+The exit status is 0 when the enrichment, every report and every
+exact artifact are identical, and 1 when anything moved, so
+byte-identity can be checked by exit status alone.
 
 Run from the repository root, e.g. against a checkout of the parent
 commit:
@@ -61,6 +68,14 @@ CASES = {
                    "--samples", "log:5:1000:3000000"],
 }
 SCALE_PREFIXES = ("main", "single", "double", "direct", "total")
+# file name -> (kind, d, limit); d = 0 dumps the sign table itself
+EXACT = {
+    "sieve-lambda-1e7.bin": ("liouville", 0, 10_000_000),
+    "sieve-mu-3e6.bin": ("moebius", 0, 3_000_000),
+    "convolve-d2-1048576.csv": ("liouville", 2, 1 << 20),
+    "convolve-d3-100000.csv": ("liouville", 3, 100_000),
+    "convolve-d9-2000.csv": ("liouville", 9, 2000),
+}
 
 # Runs inside the child interpreter, with the tree's src on sys.path.
 _CHILD = """
@@ -82,6 +97,21 @@ for i in range(0, len(cases), 2):
         sys.exit(f"verify {name} exited {code}")
 """
 
+# Writes each EXACT artifact ("name:kind:d:limit") into the working
+# directory, in its own interpreter so the tables do not share a peak.
+_EXACT_CHILD = """
+import sys
+from liouconv import convolve, sieve
+for item in sys.argv[1:]:
+    name, kind, d, limit = item.split(":")
+    table = sieve.build_sieve(kind, int(limit))
+    if d == "0":
+        sieve.dump_table(table, name)
+    else:
+        series = convolve.convolve_fft(table, int(d), int(limit))
+        convolve.export_csv(series, name)
+"""
+
 
 def _run_tree(src, cache, out):
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
@@ -90,6 +120,10 @@ def _run_tree(src, cache, out):
     subprocess.run([sys.executable, "-c", _CHILD, str(cache), str(out)]
                    + cases, env=env, cwd=out, check=True,
                    stdout=subprocess.DEVNULL)
+    exact = [f"{name}:{kind}:{d}:{limit}"
+             for name, (kind, d, limit) in EXACT.items()]
+    subprocess.run([sys.executable, "-c", _EXACT_CHILD] + exact, env=env,
+                   cwd=out, check=True, stdout=subprocess.DEVNULL)
 
 
 def _parse(text):
@@ -150,6 +184,15 @@ def compare(old_text, new_text):
                      for k, v in moved.items())
 
 
+def compare_bytes(old, new):
+    """"identical", or the first byte offset where the files differ."""
+    if old == new:
+        return "identical"
+    at = next((i for i, (a, b) in enumerate(zip(old, new)) if a != b),
+              min(len(old), len(new)))
+    return f"differs from byte {at} ({len(old)} vs {len(new)} bytes)"
+
+
 def compare_enrichment(old, new):
     """One line: "identical", or for zeta'(rho) and zeta(2 rho) each
     "identical" or the largest relative move."""
@@ -178,12 +221,15 @@ def main(argv=None):
             out.mkdir()
             _run_tree(src, cache, out)
             outs.append(out)
-        width = max(map(len, CASES))
+        width = max(map(len, [*CASES, *EXACT]))
         enriched = [np.load(out / "enrich.npy") for out in outs]
         lines = {"enrich-10000": compare_enrichment(*enriched)}
         for name in CASES:
             texts = [(out / f"{name}.csv").read_text() for out in outs]
             lines[name] = compare(*texts)
+        for name in EXACT:
+            lines[name] = compare_bytes(
+                *[(out / name).read_bytes() for out in outs])
     for name, line in lines.items():
         print(f"{name:<{width}}  {line}")
     return 0 if all(line == "identical" for line in lines.values()) else 1

@@ -711,8 +711,9 @@ def _cmd_convolve(cfg):
     manifest = _write_manifest(
         cfg, out, {},
         results={"kind": series.kind, "d": d, "limit": cfg.limit,
-                 "method": series.method, "limbs": list(series.limbs),
-                 "max_residue": series.residue, "values_sha256": digest})
+                 "method": series.method, "fft_length": series.fft_length,
+                 "limbs": list(series.limbs), "max_residue": series.residue,
+                 "values_sha256": digest})
     print(f"convolve: d={d} up to {cfg.limit} via {series.method} "
           f"-> {out} (+ {manifest})")
     return 0

@@ -2,8 +2,9 @@
 
 S_d(n) = sum over m_1 + ... + m_d = n (each m_i >= 1) of v(m_1)...v(m_d),
 where v is the Liouville or Moebius function.  The exact integers come
-from d-1 certified FFT folds (``convolve_fft``); ``convolve_naive`` is
-the time-domain oracle.  ``cesaro_sum`` evaluates the Cesaro sum
+from d-1 certified FFT folds (``convolve_fft``), each rounded, certified
+and stored in one pass per block; ``convolve_naive`` is the time-domain
+oracle.  ``cesaro_sum`` evaluates the Cesaro sum
 (1/(d-1)!) sum S_d(n) (x-n)^{d-1}.
 """
 
@@ -43,6 +44,7 @@ class ConvolutionSeries:
             "fft-certified"); informational only.
         limbs: FFT limb products per fold (empty for "naive").
         residue: largest rounding residue of any limb product.
+        fft_length: real FFT length of the folds (0 for "naive").
     """
 
     kind: str
@@ -52,6 +54,7 @@ class ConvolutionSeries:
     method: str = field(default="naive", compare=False)
     limbs: tuple = field(default=(), compare=False)
     residue: float = field(default=0.0, compare=False)
+    fft_length: int = field(default=0, compare=False)
 
 
 def _check_args(table: SieveTable, d: int, limit: int) -> None:
@@ -82,59 +85,85 @@ def convolve_naive(table: SieveTable, d: int, limit: int) -> ConvolutionSeries:
                              method="naive")
 
 
-def _eval_mod(c, r, p, reduce):
-    """sum_i c[i] r^i mod p, as two int64 dot products per block against
-    the 16-bit halves of the powers of r; exact while |c| < 2^31, so
+def _fast_len(n: int) -> int:
+    """Least 5-smooth integer >= n >= 1: least 2^k 3^i 5^j >= n."""
+    odd = (3 ** i * 5 ** j for i in range(n.bit_length() + 1)
+           for j in range(n.bit_length() + 1))
+    return min(c << (-(-n // c) - 1).bit_length() for c in odd if c < 2 * n)
+
+
+def _points(a, v):
+    """(p, r, lo, hi) per certificate prime p: r drawn from the operands'
+    SHA-256, lo/hi the 16-bit halves of r^k mod p for 0 <= k < _BLOCK."""
+    seed = hashlib.sha256(a)
+    if a is not v:
+        seed.update(v)
+    points = []
+    for p, word in zip(_PRIMES, np.frombuffer(seed.digest(), "<u8")):
+        r = int(word) % (p - 2) + 2
+        pw = np.ones(_BLOCK, dtype=np.int64)
+        for k in (1 << j for j in range(_BLOCK.bit_length() - 1)):
+            pw[k:2 * k] = pw[:k] * pow(r, k, p) % p
+        points.append((p, r, pw & 0xFFFF, pw >> 16))
+    return points
+
+
+def _eval_mod(c, point, reduce, s=0):
+    """sum_i c[i] r^(s+i) mod p, as two int64 dot products per block
+    against the halves of the powers of r; exact while |c| < 2^31, so
     ``reduce`` takes c mod p first where c may be larger."""
-    pw = np.ones(_BLOCK, dtype=np.int64)
-    for k in (1 << j for j in range(_BLOCK.bit_length() - 1)):
-        pw[k:2 * k] = pw[:k] * pow(r, k, p) % p
-    lo, hi = pw & 0xFFFF, pw >> 16
+    p, r, lo, hi = point
     total = 0
-    for s in range(0, c.size, _BLOCK):
-        blk = c[s:s + _BLOCK] % p if reduce else c[s:s + _BLOCK]
+    for t in range(0, c.size, _BLOCK):
+        blk = c[t:t + _BLOCK] % p if reduce else c[t:t + _BLOCK]
         val = int(blk @ lo[:blk.size]) + (int(blk @ hi[:blk.size]) << 16)
-        total = (total + val * pow(r, s, p)) % p
-    return total
+        total += val * pow(r, s + t, p)
+    return total % p
 
 
-def _fold(a, v, spec_v, m, b, consume):
-    """(a * v as int64, limb count, largest residue), or ValueError.
+def _fold(a, v, spec_v, m, b, consume, lead):
+    """(a * v as int64 behind ``lead`` zeros, cut to lead + a.size - 1
+    entries; limb count; largest residue), or ValueError.
 
-    Each balanced b-bit limb product of a must round with a residue below
-    0.25, and the sum must match a(r) v(r) modulo three primes at points
-    drawn from the operands' SHA-256 (a Schwartz-Zippel identity test).
-    ``spec_v`` is rfft(v, m), which ``consume`` lets this call overwrite.
+    Each balanced b-bit limb product P of a is rounded, certified and
+    stored block by block: its residue must stay below 0.25, and P(r)
+    must match limb(r) v(r) modulo three primes at points drawn from the
+    operands' SHA-256 (a Schwartz-Zippel identity test, which certifies
+    the sum by linearity).  ``consume`` lets it overwrite spec_v.
     """
-    amax = int(np.abs(a).max())
-    bound = amax * int(np.count_nonzero(v))
-    if bound >= 1 << 62:
+    amax, nnz = int(np.abs(a).max()), int(np.count_nonzero(v))
+    if amax * nnz >= 1 << 62:
         raise ValueError("S_d could overflow int64; reduce d or the limit")
     half, limbs = 1 << (b - 1), [a]       # balanced base-2^b digits of a
     while int(np.abs(limbs[-1]).max()) >= half:
         low = ((limbs[-1] + half) & (2 * half - 1)) - half
         limbs[-1:] = [low, (limbs[-1] - low) >> b]
-    n = a.size + v.size - 1
-    prod, residue = np.zeros(n, dtype=np.int64), 0.0
+    top = min(amax, half)                 # bounds every |limb|
+    points = _points(a, v)
+    v_at = [_eval_mod(v, pt, False) for pt in points]
+    n, keep = a.size + v.size - 1, a.size - 1
+    prod, residue = np.zeros(lead + keep, dtype=np.int64), 0.0
     for j, limb in enumerate(limbs):
         spec = np.fft.rfft(limb, m) if limb is not v else (
             spec_v if consume else spec_v.copy())     # first fold's limb
         spec *= spec_v
         raw = np.fft.irfft(spec, m)
         del spec
+        gap = [-(w if limb is v else _eval_mod(limb, pt, top >= 1 << 31)) * w
+               for pt, w in zip(points, v_at)]    # P(r) - limb(r) v(r)
         for s in range(0, n, _BLOCK):
             x = raw[s:min(s + _BLOCK, n)]
             r = np.rint(x)
             residue = max(residue, float(np.abs(x - r).max()))
-            prod[s:s + x.size] += r.astype(np.int64) << (b * j)
-    if residue >= 0.25:
-        raise ValueError(f"FFT rounding residue {residue:.3g} is not < 0.25")
-    seed = hashlib.sha256(a)
-    seed.update(v)
-    for p, word in zip(_PRIMES, np.frombuffer(seed.digest(), "<u8")):
-        r = int(word) % (p - 2) + 2
-        lhs = _eval_mod(a, r, p, amax >= 1 << 31) * _eval_mod(v, r, p, False)
-        if lhs % p != _eval_mod(prod, r, p, bound >= 1 << 31):
+            q = r.astype(np.int64)
+            gap = [g + _eval_mod(q, pt, top * nnz >= 1 << 31, s)
+                   for g, pt in zip(gap, points)]
+            if s < keep:
+                prod[lead + s:lead + s + x.size] += q[:keep - s] << (b * j)
+        if residue >= 0.25:
+            raise ValueError(
+                f"FFT rounding residue {residue:.3g} is not < 0.25")
+        if any(g % pt[0] for g, pt in zip(gap, points)):
             raise ValueError("FFT product failed its modular certificate")
     return prod, len(limbs), residue
 
@@ -143,27 +172,27 @@ def convolve_fft(table: SieveTable, d: int, limit: int) -> ConvolutionSeries:
     """Certified FFT route for S_d: d-1 exact folds acc <- (acc * v).
 
     Indices start at n = 1 (v(0) = 0), so one real FFT length m >=
-    2*limit - 1 holds every full product, and rfft(v) is taken once.
-    The limb width b is the largest with 8 eps log2(m) 2^b limit < 0.25,
-    a norm bound on the FFT's rounding error (after Percival 2003).
+    2*limit - 1, the least 5-smooth one, holds every full product, and
+    rfft(v) is taken once.  The limb width b is the largest with
+    8 eps log2(m) 2^b limit < 0.25, a norm bound on the FFT's rounding
+    error (after Percival 2003).
     """
     _check_args(table, d, limit)
-    m = 2 ** max(1, (2 * limit - 2).bit_length())
+    m = _fast_len(max(2, 2 * limit - 1))
     eps = float(np.finfo(np.float64).eps)
     b = math.ceil(math.log2(0.25 / (8 * eps * math.log2(m) * limit))) - 1
     v = table.values[1:limit + 1].astype(np.int64)
     spec_v = np.fft.rfft(v, m)
     acc, limbs, residue = v, [], 0.0
     for fold in range(1, d):
-        prod, k, res = _fold(acc, v, spec_v, m, b, fold == d - 1)
-        acc = np.concatenate(([0], prod[:limit - 1]))
+        last = fold == d - 1
+        acc, k, res = _fold(acc, v, spec_v, m, b, last, 2 if last else 1)
         limbs.append(k)
         residue = max(residue, res)
-    out = np.concatenate(([0], acc))
-    out.setflags(write=False)
-    return ConvolutionSeries(kind=table.kind, d=d, limit=limit, values=out,
+    acc.setflags(write=False)
+    return ConvolutionSeries(kind=table.kind, d=d, limit=limit, values=acc,
                              method="fft-certified", limbs=tuple(limbs),
-                             residue=residue)
+                             residue=residue, fft_length=m)
 
 
 def cesaro_sum(series: ConvolutionSeries, x) -> float:
@@ -189,10 +218,23 @@ def cesaro_sum(series: ConvolutionSeries, x) -> float:
 
 
 def export_csv(series: ConvolutionSeries, path) -> None:
-    """Write `n,value` rows for d <= n <= limit, one string per block."""
-    with open(path, "w") as fh:
-        fh.write("n,value\n")
+    """Write `n,value` rows for d <= n <= limit, the bytes of "%d,%d\\n",
+    from each block's digits in a uint8 matrix compacted by one mask."""
+    with open(path, "wb") as fh:
+        fh.write(b"n,value\n")
         for s in range(series.d, series.limit + 1, _BLOCK):
-            rows = series.values[s:s + _BLOCK]
-            pairs = np.column_stack((np.arange(s, s + rows.size), rows))
-            fh.write(("%d,%d\n" * rows.size) % tuple(pairs.ravel().tolist()))
+            vals = series.values[s:s + _BLOCK]
+            n = np.arange(s, s + vals.size, dtype=np.uint64)
+            mag = np.abs(vals).astype(np.uint64)   # exact for every int64
+            wn, wv = len(str(int(n[-1]))), len(str(int(mag.max())))
+            mat = np.empty((vals.size, wn + wv + 3), dtype=np.uint8)
+            used = np.ones(mat.shape, dtype=bool)
+            mat[:, wn], mat[:, wn + 1], mat[:, -1] = ord(","), ord("-"), 10
+            used[:, wn + 1] = vals < 0
+            for x, end, width in ((n, wn, wn), (mag, wn + wv + 2, wv)):
+                for col in range(end - 1, end - 1 - width, -1):
+                    used[:, col] = (x > 0) | (col == end - 1)
+                    q = x // 10
+                    mat[:, col] = x - q * 10 + 48
+                    x = q
+            fh.write(mat[used])

@@ -3,12 +3,13 @@
 Every table is built in one pass over fixed segments of _SEGMENT
 entries with an exact prime-power sieve: for every prime p <= sqrt(N)
 each power p^k adds 1 to Omega(n) on its multiples and multiplies p
-into their factored part, and each power with k >= 2 marks its
-multiples as not squarefree.  The cofactor n / (factored part) is then
-1 or the one remaining prime above sqrt(N).  lambda(n) = (-1)^Omega(n),
-and mu(n) is lambda(n) on squarefree n and 0 elsewhere.  All arithmetic
-is integer; no floating point enters the table values, and no step
-holds more than one segment of working arrays.
+into their factored part (int32 below 2^31), and for mu each power
+with k >= 2 marks its multiples as not squarefree.  The cofactor
+n / (factored part) is then 1 or the one remaining prime above sqrt(N),
+which counts in Omega(n) where the factored part is not n.
+lambda(n) = (-1)^Omega(n), and mu(n) is lambda(n) on squarefree n and
+0 elsewhere.  All arithmetic is integer; no floating point enters the
+table values, and no step holds more than one segment of working arrays.
 """
 
 from __future__ import annotations
@@ -76,20 +77,21 @@ def _small_primes(limit: int) -> np.ndarray:
 def _sieve_segment(kind: str, lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     """Exact values of lambda or mu on [lo, hi)."""
     size = hi - lo
+    wide = np.int32 if hi <= 1 << 31 else np.int64
     big_omega = np.zeros(size, dtype=np.int8)  # Omega(n) < 28 below 2e8
-    factored = np.ones(size, dtype=np.int64)
-    squarefree = np.ones(size, dtype=bool)
+    factored = np.ones(size, dtype=wide)
+    squarefree = np.ones(size, dtype=bool) if kind == KIND_MOEBIUS else None
     for p in primes.tolist():
         pk, k = p, 1
         while (start := -lo % pk) < size:  # some multiple of p^k in range
             big_omega[start::pk] += 1
             factored[start::pk] *= p
-            if k >= 2:
+            if k >= 2 and squarefree is not None:
                 squarefree[start::pk] = False
             pk, k = pk * p, k + 1
-    big_omega += np.arange(lo, hi, dtype=np.int64) // factored > 1
+    big_omega += np.arange(lo, hi, dtype=wide) != factored
     out = 1 - 2 * (big_omega & 1)
-    return out * squarefree if kind == KIND_MOEBIUS else out
+    return out if squarefree is None else out * squarefree
 
 
 def _segments(lo: int, limit: int):

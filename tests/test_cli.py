@@ -334,5 +334,6 @@ def test_sieve_and_convolve_artifacts(tmp_path):
     manifest = json.loads((tmp_path / "series.csv.manifest.json").read_text())
     results = manifest["results"]
     assert results["method"] == "fft-certified"
+    assert results["fft_length"] == 2000    # least 5-smooth >= 1999
     assert results["limbs"] == [1, 1]
     assert 0.0 <= results["max_residue"] < 0.25

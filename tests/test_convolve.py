@@ -84,6 +84,43 @@ def test_certificate_catches_a_shifted_value(monkeypatch):
         convolve.convolve_fft(table, 2, 2048)
 
 
+@pytest.mark.parametrize("index", [100, 3000])
+def test_certificate_checks_every_limb(monkeypatch, index):
+    # a one-unit shift in the second limb's product only, inside the kept
+    # entries (100) or in the unstored tail past limit - 1 (3000)
+    table = sieve.build_sieve(sieve.KIND_LIOUVILLE, 2000)
+    limbs = convolve.convolve_fft(table, 9, 2000).limbs
+    first = limbs.index(2)
+    target = sum(limbs[:first]) + 2       # irfft call of that second limb
+    irfft, calls = np.fft.irfft, []
+
+    def shifted(*args, **kwargs):
+        out = irfft(*args, **kwargs)
+        calls.append(1)
+        if len(calls) == target:
+            out[index] += 1.0
+        return out
+
+    monkeypatch.setattr(convolve.np.fft, "irfft", shifted)
+    with pytest.raises(ValueError, match="certificate"):
+        convolve.convolve_fft(table, 9, 2000)
+    assert len(calls) == target
+
+
+def test_fft_length_is_the_least_5_smooth_length():
+    def smooth(k):
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    least = 5120                          # 2^10 * 5, the first past 5000
+    for n in range(5000, 0, -1):
+        if smooth(n):
+            least = n
+        assert convolve._fast_len(n) == least, n
+
+
 def test_int64_overflow_raises():
     limit, d = 1000, 14
     table = sieve.build_sieve(sieve.KIND_LIOUVILLE, limit)
@@ -160,3 +197,30 @@ def test_argument_validation():
         convolve.convolve_naive(table, 1, 100)
     with pytest.raises(ValueError):
         convolve.convolve_naive(table, 2, 101)
+
+
+def test_export_csv_bytes_on_synthetic_series(tmp_path):
+    # every digit count from 1 to 19 with both signs, n across every
+    # power of ten up to 10^6 and many blocks; the first block holds only
+    # one-digit values, so its value column is one digit wide
+    edge = [0, 1, 9, 10, 99, 100, 2 ** 62 - 1]
+    limit = 10 ** 6 + 5
+    values = np.resize(np.array(edge + [-x for x in edge[1:]]), limit + 1)
+    values[:convolve._BLOCK + 2] = np.resize([0, 1, -1, 9, -9],
+                                             convolve._BLOCK + 2)
+    series = convolve.ConvolutionSeries(kind=sieve.KIND_LIOUVILLE, d=2,
+                                        limit=limit, values=values)
+    path = tmp_path / "series.csv"
+    convolve.export_csv(series, path)
+    rows = "".join(f"{n},{v}\n"
+                   for n, v in enumerate(values.tolist()) if n >= 2)
+    assert path.read_bytes() == ("n,value\n" + rows).encode()
+
+
+def test_export_csv_below_d_is_the_header_only(tmp_path):
+    series = convolve.ConvolutionSeries(kind=sieve.KIND_MOEBIUS, d=3,
+                                        limit=2,
+                                        values=np.zeros(3, dtype=np.int64))
+    path = tmp_path / "series.csv"
+    convolve.export_csv(series, path)
+    assert path.read_bytes() == b"n,value\n"

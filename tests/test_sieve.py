@@ -161,6 +161,39 @@ def test_segment_length_does_not_change_values(monkeypatch, linear_20000,
                               np.cumsum(want, dtype=np.int64))
 
 
+def _trial_division(lo, hi):
+    """Omega(n) and squarefreeness on [lo, hi), dividing the whole window
+    by each prime up to sqrt(hi) for as long as any entry is divisible."""
+    rest = np.arange(lo, hi, dtype=np.int64)
+    big_omega = np.zeros(rest.size, dtype=np.int64)
+    squarefree = np.ones(rest.size, dtype=bool)
+    for p in sieve._small_primes(math.isqrt(hi)).tolist():
+        times = np.zeros(rest.size, dtype=np.int64)
+        while (hit := rest % p == 0).any():
+            rest[hit] //= p
+            times += hit
+        big_omega += times
+        squarefree &= times < 2
+    big_omega += rest > 1
+    return big_omega, squarefree
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (1, 5000),
+    (2 ** 31 - 600, 2 ** 31),            # int32 factored parts, up to the top
+    (2 ** 31 - 600, 2 ** 31 + 600),      # int64 factored parts
+])
+def test_segment_matches_trial_division(lo, hi):
+    big_omega, squarefree = _trial_division(lo, hi)
+    lam = 1 - 2 * (big_omega & 1)
+    primes = sieve._small_primes(math.isqrt(hi))
+    assert np.array_equal(
+        sieve._sieve_segment(sieve.KIND_LIOUVILLE, lo, hi, primes), lam)
+    assert np.array_equal(
+        sieve._sieve_segment(sieve.KIND_MOEBIUS, lo, hi, primes),
+        lam * squarefree)
+
+
 def test_lambda_pinned_at_1e7():
     """10^7 spans ten segments; the digest is the one perfbench pins."""
     table = sieve.build_sieve(sieve.KIND_LIOUVILLE, 10 ** 7)
