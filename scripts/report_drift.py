@@ -4,13 +4,13 @@
 Each tree enriches all 10^4 bundled ordinates (gamma up to about 9878),
 and the script prints, for zeta'(rho) and for zeta(2 rho), "identical"
 when the arrays match bit for bit and the largest relative move
-otherwise.  Each tree also runs the same 15 `verify` cases (every
+otherwise.  Each tree also runs the same 17 `verify` cases (every
 target at small sizes, plus `dfold --d 4`, `dirichlet --s 3` and
 `weighted --d 3` with zeros, `identity` over six trials, which reach
-both kinds at d = 2 and 3 and the boundary term, and L and M at 3e6,
-where the sieve tables span several segments) in its own interpreter,
-against one shared 80-zero cache made by the new tree, inside a
-temporary directory.  For each case the script prints "identical" when
+both kinds at d = 2 and 3 and the boundary term, L and cesaro cut to
+40 zeros by `--count`, and L and M at 3e6, where the sieve tables span
+several segments) in its own interpreter, against one shared 80-zero
+cache made by the new tree, inside a temporary directory.  For each case the script prints "identical" when
 the two CSV reports match byte for byte.  Otherwise it prints each
 moved column with its largest |change| over max(1, |main|, |single|,
 |double|, |direct|, |total|) of the row (the old tree's values), each
@@ -62,6 +62,10 @@ CASES = {
                           "--weight", "1.5:2.5:30:3"],
     "weighted": ["weighted", "--limit", "2000", "--weight", "0:2.5:40"],
     "identity": ["identity", "--limit", "1024", "--trials", "6"],
+    "L-count40": ["L", Z, "--count", "40", "--limit", "800",
+                  "--samples", "log:3:10:800"],
+    "cesaro-count40": ["cesaro", Z, "--count", "40", "--limit", "2000",
+                       "--samples", "log:3:200:2000"],
     "L-segments": ["L", Z, "--limit", "3000000",
                    "--samples", "log:5:1000:3000000"],
     "M-segments": ["M", Z, "--limit", "3000000",

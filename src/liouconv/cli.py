@@ -14,10 +14,12 @@ M, cesaro, cesaro-mu, dfold, dirichlet, exponential, weighted,
 identity.  The ``_VERIFY`` table maps each target to its runner,
 whether it needs ``--zeros`` and the options it reads (any other flag
 is a usage error).  L, M, Cesaro and exponential share one loop,
-``_sweep``.  Each run writes a report (CSV by default, JSON with
---format json) with one row per sample point and a summary block, plus
-a manifest next to it recording the effective configuration, library
-versions, input checksums, and the report's SHA-256.  Reports carry no
+``_sweep``.  The zero sums run over every loaded zero; ``--count N``,
+the only cut, keeps the first N of a cache or an ordinate file.  Each
+run writes a report (CSV by default, JSON with --format json) with one
+row per sample point and a summary block, plus a manifest next to it
+recording the effective configuration, library versions, input
+checksums, and the report's SHA-256.  Reports carry no
 timestamps and every float is written with shortest-roundtrip repr,
 so the same inputs produce byte identical reports.
 
@@ -140,7 +142,6 @@ _OPTIONS = {
     "limit": (_parse_int, "sieve/series length"),
     "zeros": (str, "zero ordinates file or cache"),
     "count": (_parse_int, "number of zeros to keep"),
-    "T": (_parse_float, "ordinate cutoff for the zero sums"),
     "d": (_parse_int, "convolution order"),
     "s": (_parse_complex, "complex point 're,im'"),
     "y": (_parse_ys, "comma separated decay parameters"),
@@ -163,7 +164,6 @@ class RunConfig:
     limit: int | None = None
     zeros: str | None = None
     count: int | None = None
-    T: float | None = None
     d: int | None = None
     s: complex | None = None
     y: tuple | None = None
@@ -222,8 +222,6 @@ def _make_config(args):
     if args.command == "verify":
         merged.setdefault("limit", 4096 if args.target == "identity"
                           else 10000)
-    if merged.get("count") is not None and merged.get("T") is not None:
-        raise UsageError("give --count or --T, not both")
     fmt = merged.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise UsageError(f"--format must be csv or json, got {fmt!r}")
@@ -244,8 +242,6 @@ def _validate(cfg):
         raise UsageError("--limit must be at least 2")
     if cfg.count is not None and cfg.count < 1:
         raise UsageError("--count must be at least 1")
-    if cfg.T is not None and cfg.T < 1.0:
-        raise UsageError("--T must be at least 1")
     if cfg.d is not None and cfg.d < 2:
         raise UsageError("--d must be at least 2")
 
@@ -318,10 +314,6 @@ def _load_zeroset(cfg, inputs):
                     f"({len(ordinates)})")
             ordinates = ordinates[:cfg.count]
         zset = zeros.enrich(ordinates)
-    if cfg.T is not None and cfg.T > zset.t_max:
-        raise UsageError(
-            f"--T {cfg.T} exceeds the largest loaded ordinate "
-            f"{zset.t_max:.3f}")
     return zset
 
 
@@ -469,7 +461,7 @@ def _run_summatory(cfg, zset):
     grid = _sample_grid(cfg.samples or _default_samples(cfg.target, cfg.limit))
     return _sweep(
         "x", grid, lambda x: sieve.summatory(table, x),
-        lambda x: explicit.explicit_summatory(kind, x, zset, T=cfg.T),
+        lambda x: explicit.explicit_summatory(kind, x, zset),
         _SWEEP_COLUMNS)
 
 
@@ -482,7 +474,7 @@ def _run_cesaro(cfg, zset):
     grid = _sample_grid(cfg.samples or _default_samples(cfg.target, cfg.limit))
     return _sweep(
         "x", grid, lambda x: convolve.cesaro_sum(series, x),
-        lambda x: explicit.explicit_cesaro(kind, x, zset, T=cfg.T, d=d),
+        lambda x: explicit.explicit_cesaro(kind, x, zset, d=d),
         _SWEEP_COLUMNS)
 
 
@@ -491,7 +483,7 @@ def _run_dirichlet(cfg, zset):
     series = convolve.convolve_fft(table, 2, cfg.limit)
     s = cfg.s
     direct = explicit.dirichlet_direct(series, s, cfg.limit)
-    bd = explicit.dirichlet_explicit(sieve.KIND_LIOUVILLE, s, zset, T=cfg.T)
+    bd = explicit.dirichlet_explicit(sieve.KIND_LIOUVILLE, s, zset)
     failures = []
     if s.imag == 0.0:
         _check_realness(bd, failures, f"s={s.real!r}")
@@ -526,8 +518,7 @@ def _run_exponential(cfg, zset):
     series = convolve.convolve_fft(table, 2, cfg.limit)
     cols, summary, failures = _sweep(
         "y", ys, lambda y: explicit.exponential_direct(series, y, cfg.limit),
-        lambda y: explicit.exponential_explicit(sieve.KIND_LIOUVILLE, y, zset,
-                                                T=cfg.T),
+        lambda y: explicit.exponential_explicit(sieve.KIND_LIOUVILLE, y, zset),
         ("direct", "main_term", "single_sum", "double_sum", "total",
          "residual", "envelope", "deficit", "truncation_T", "zeros_used"))
     target_const = math.pi / (4.0 * specfun.zeta_half() ** 2)
@@ -565,7 +556,7 @@ def _run_weighted(cfg, zset):
         "identity_ok": rel <= _REL_IDENTITY_TOL,
     }
     if zset is not None:
-        bd = explicit.weighted_average_explicit(w, table, zset, d=d, T=cfg.T)
+        bd = explicit.weighted_average_explicit(w, table, zset, d=d)
         worst = _check_realness(bd, failures, "weighted run")
         resid = abs(direct - bd.total)
         for key in ("main_term", "single_sum", "double_sum", "total",
@@ -631,7 +622,7 @@ def _run_identity(cfg, zset):
     return cols, summary, failures
 
 
-_ZEROS = ("zeros", "count", "T")
+_ZEROS = ("zeros", "count")
 
 # target -> (runner, needs --zeros, the options its runner reads)
 _VERIFY = {

@@ -7,8 +7,10 @@ shape
 
     main term + single zero sum + double zero sum + error,
 
-truncated here at ordinate T.  The evaluators below report the three
-pieces separately so they can be laid against sieved ground truth.
+truncated here to the zeros of the given ZeroSet: every formula sums
+over all of them (cut it with zeros.truncate first) and reports T as
+its last ordinate.  The evaluators below report the three pieces
+separately so they can be laid against sieved ground truth.
 
 Realness and closure.  Zeros enter in conjugate pairs, so a sum that is
 real in exact arithmetic is computed as term(rho) + term(conj rho) per
@@ -35,9 +37,9 @@ two residue points:
     single = 2a * sum over z = rho, conj rho of c(z) Gamma(z) K(z + 1/2),
     double = sum of c(z1) c(z2) Gamma(z1) Gamma(z2) K(z1 + z2).
 
-A formula supplies only F (through factor), the shift and, for the
-double sum, a bound on log |F|; _pole_terms, _single_total and
-_pair_total evaluate the rest.
+A formula supplies only F (through factor), the shift, a bound on
+log |F| for the double sum and its envelope; _expand evaluates the
+rest through _single_total and _pair_total.
 
 Weighted averages.  One weight type, PolynomialWeight, stands for
 f(w) = (b - w)^p on [a, b) at scale eta.  weighted_average_rhs restates
@@ -140,30 +142,18 @@ def _check_kind(kind):
         raise ValueError(f"unknown kind {kind!r}")
 
 
-def _usable(zs, T):
-    """Zero count below the cut and the effective cut itself.
-
-    T=None means every zero in the set, reported as T = t_max.
-    """
-    if T is None:
-        if len(zs) == 0:
-            return 0, 1.0
-        return len(zs), float(zs.t_max)
-    T = float(T)
-    if not math.isfinite(T) or T < 1.0:
-        raise ValueError("truncation T must be a finite real >= 1")
-    if len(zs) and T > zs.t_max:
-        raise ValueError(
-            f"T={T} exceeds the last available ordinate {zs.t_max}")
-    return int(np.searchsorted(zs.gammas, T, side="left")), T
+def _cut(zs):
+    """The truncation ordinate T of a zero set: its last ordinate, 1.0
+    when it is empty."""
+    return zs.t_max if len(zs) else 1.0
 
 
-def _coefficients(kind, zs, used):
-    """c(rho) of the first used zeros: zeta(2 rho)/zeta'(rho) for
-    liouville, 1/zeta'(rho) for moebius."""
+def _coefficients(kind, zs):
+    """c(rho) per zero: zeta(2 rho)/zeta'(rho) for liouville,
+    1/zeta'(rho) for moebius."""
     if kind == KIND_LIOUVILLE:
-        return zs.z2rhos[:used] / zs.zprimes[:used]
-    return 1.0 / zs.zprimes[:used]
+        return zs.z2rhos / zs.zprimes
+    return 1.0 / zs.zprimes
 
 
 def _pole_residue(kind):
@@ -174,7 +164,7 @@ def _pole_residue(kind):
     return None
 
 
-def _assemble(main, single, double, T, used, pairs, envelope, hermitian):
+def _assemble(main, single, double, zs, pairs, envelope, hermitian):
     if hermitian:
         resid = max(abs(complex(main).imag), abs(complex(single).imag),
                     abs(complex(double).imag))
@@ -186,7 +176,7 @@ def _assemble(main, single, double, T, used, pairs, envelope, hermitian):
     total = main + single + double
     return ExplicitBreakdown(
         main_term=main, single_sum=single, double_sum=double, total=total,
-        truncation_T=float(T), zeros_used=int(used), pair_terms=int(pairs),
+        truncation_T=_cut(zs), zeros_used=len(zs), pair_terms=int(pairs),
         imag_residue=float(resid), envelope=float(envelope))
 
 
@@ -292,7 +282,7 @@ def _pair_total(gammas, coeff, shift, factor, log_factor_bound, parts,
 
 
 # ---------------------------------------------------------------------------
-# single-sum engine and the pole terms
+# single-sum engine and the residue expansion
 
 
 def _single_total(rhos, coeff, offset, shift, factor, hermitian):
@@ -317,30 +307,53 @@ def _single_total(rhos, coeff, offset, shift, factor, hermitian):
     return blocked_sum(plus + terms(np.conj(rhos), np.conj(coeff)))
 
 
-def _pole_terms(kind, rhos, coeff, shift, factor, hermitian):
-    """(main, single) = (a^2 K(1), 2a times the single sum at offset 1/2).
+def _expand(kind, zs, shift, factor, log_bound, envelope, hermitian=True,
+            pair_shift=None, boundary=None):
+    """The two-factor residue expansion over every zero of zs.
 
-    Both are exactly 0.0 for moebius, which has no pole residue a.
+    main = a^2 K(1), single = 2a times the single sum at offset 1/2
+    (both 0.0 for moebius, which has no pole residue a) and the double
+    sum, with K(w) = F(w) / Gamma(w + shift) given through the
+    factor(w, log_kernel) contract of _pair_total.  shift=None means a
+    multiplicative kernel without a Gamma factor: the double sum is the
+    square of the single sum at offset 0 and no pair is enumerated.
+    Otherwise the pair sum divides by Gamma(w + pair_shift) (pair_shift
+    defaults to shift) and prunes with log_bound.  boundary, when given,
+    is added to main before the pair sum, so it counts toward the
+    pruning scale.
     """
+    rhos = zs.rhos
+    coeff = _coefficients(kind, zs)
     a = _pole_residue(kind)
-    if a is None:
-        return 0.0, 0.0
-    log_kernel = 0.0 if shift is None else -specfun.log_gamma(1.0 + shift)
-    main = a * a * complex(factor(1.0, log_kernel))
-    return main, 2.0 * a * _single_total(rhos, coeff, 0.5, shift, factor,
+    main, single = 0.0, 0.0
+    if a is not None:
+        log_kernel = 0.0 if shift is None else -specfun.log_gamma(1.0 + shift)
+        main = a * a * complex(factor(1.0, log_kernel))
+        single = 2.0 * a * _single_total(rhos, coeff, 0.5, shift, factor,
                                          hermitian)
+    if boundary is not None:
+        main = complex(main) + boundary
+    if shift is None:
+        inner = _single_total(rhos, coeff, 0.0, None, factor, hermitian)
+        double, pairs = inner * inner, 0
+    else:
+        double, pairs = _pair_total(
+            zs.gammas, coeff, shift if pair_shift is None else pair_shift,
+            factor, log_bound, (main, single), hermitian)
+    return _assemble(main, single, double, zs, pairs, envelope, hermitian)
 
 
 # ---------------------------------------------------------------------------
 # summatory functions
 
 
-def explicit_summatory(kind, x, zs, T=None):
+def explicit_summatory(kind, x, zs):
     """Truncated explicit formula for the summatory function.
 
     liouville: L(x) = x^(1/2)/zeta(1/2) + 1
-        + sum over |gamma| < T of zeta(2 rho) x^rho / (zeta'(rho) rho).
-    moebius: M(x) = -2 + sum over |gamma| < T of x^rho / (zeta'(rho) rho).
+        + sum over rho of zeta(2 rho) x^rho / (zeta'(rho) rho).
+    moebius: M(x) = -2 + sum over rho of x^rho / (zeta'(rho) rho).
+    rho runs over the zeros of zs and their conjugates.
 
     This is the one-factor case with kernel K(w) = x^w / Gamma(w + 1):
     the zero terms c(rho) Gamma(rho) K(rho) are kept in the closed form
@@ -357,30 +370,29 @@ def explicit_summatory(kind, x, zs, T=None):
     stay below (2 pi/x)^2 / (2 zeta(3)) for moebius; both are left in
     the remainder.
 
-    envelope is 1 + x(|log x| + 1)/T, the part of the remainder that
-    shrinks with the truncation; the full remainder with constant 1 adds
-    (x - x^(1/4)) / (T^(1-eps) log x), and for moebius x^eps with the
-    power 1/4 replaced by eps.
+    envelope is 1 + x(|log x| + 1)/T, with T the last ordinate of zs:
+    the part of the remainder that shrinks with the truncation.  The
+    full remainder with constant 1 adds (x - x^(1/4)) / (T^(1-eps) log x),
+    and for moebius x^eps with the power 1/4 replaced by eps.
     """
     _check_kind(kind)
     x = float(x)
     if not x > 0.0:
         raise ValueError("x must be positive")
-    used, T = _usable(zs, T)
-    rhos = zs.rhos[:used]
+    rhos = zs.rhos
     a = _pole_residue(kind)
     main = -2.0 if a is None else a * math.sqrt(x) / math.gamma(1.5) + 1.0
-    terms = _coefficients(kind, zs, used) / rhos * np.exp(rhos * math.log(x))
+    terms = _coefficients(kind, zs) / rhos * np.exp(rhos * math.log(x))
     single = blocked_sum(2.0 * terms.real)
-    envelope = 1.0 + x * (abs(math.log(x)) + 1.0) / T
-    return _assemble(main, single, 0.0, T, used, 0, envelope, hermitian=True)
+    envelope = 1.0 + x * (abs(math.log(x)) + 1.0) / _cut(zs)
+    return _assemble(main, single, 0.0, zs, 0, envelope, hermitian=True)
 
 
 # ---------------------------------------------------------------------------
 # Cesaro average of the pair convolution
 
 
-def explicit_cesaro(kind, x, zs, T=None, d=2):
+def explicit_cesaro(kind, x, zs, d=2):
     """Truncated explicit formula for the weighted partial sum
     (1/(d-1)!) sum_{n <= x} S_d(n) (x - n)^(d-1).
 
@@ -403,25 +415,17 @@ def explicit_cesaro(kind, x, zs, T=None, d=2):
     x = float(x)
     if not x > 0.0:
         raise ValueError("x must be positive")
-    used, T = _usable(zs, T)
     lx = math.log(x)
-    coeff = _coefficients(kind, zs, used)
 
     def factor(w, log_kernel):
         return np.exp(log_kernel + (w + (d - 1)) * lx)
 
-    main, single = _pole_terms(kind, zs.rhos[:used], coeff, d, factor,
-                               hermitian=True)
-    double, pairs = _pair_total(zs.gammas[:used], coeff, d, factor,
-                                lambda t: d * lx, (main, single),
-                                hermitian=True)
     if kind == KIND_LIOUVILLE:
         tail = x ** (d - 1)
     else:
         tail = x ** (d - 2 + ENV_EPS)
     envelope = x ** (d - 0.5 + ENV_EPS) + tail
-    return _assemble(main, single, double, T, used, pairs, envelope,
-                     hermitian=True)
+    return _expand(kind, zs, d, factor, lambda t: d * lx, envelope)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +445,7 @@ def dirichlet_direct(series: ConvolutionSeries, s, N):
     return blocked_sum(terms)
 
 
-def dirichlet_explicit(kind, s, zs, T=None):
+def dirichlet_explicit(kind, s, zs):
     """Zero expansion of the Dirichlet series of S(n), Re s > 1 + 1e-6.
 
     Kernel K(w) = s(s+1) / (Gamma(w + 2) (w - s)); for liouville the
@@ -451,33 +455,25 @@ def dirichlet_explicit(kind, s, zs, T=None):
     least Re s - 1, so the domain rule alone keeps them off zero.
 
     The error term O(|s(s+1)| / (Re s - 1/2 - eps)) of this expansion
-    does not shrink with T, so agreement with dirichlet_direct is a
-    structural diagnostic rather than a convergence statement; envelope
-    reports that bound with constant 1 and eps 0.1.  Output is realified
-    only when Im s = 0.
+    does not shrink as zeros are added, so agreement with
+    dirichlet_direct is a structural diagnostic rather than a
+    convergence statement; envelope reports that bound with constant 1
+    and eps 0.1.  Output is realified only when Im s = 0.
     """
     _check_kind(kind)
     s = complex(s)
     if not s.real > 1.0 + 1e-6:
         raise ValueError("need Re s > 1 + 1e-6")
-    used, T = _usable(zs, T)
-    hermitian = s.imag == 0.0
-    coeff = _coefficients(kind, zs, used)
     pref = s * (s + 1.0)
 
     def factor(w, log_kernel):
         return pref * np.exp(log_kernel) / (w - s)
 
-    main, single = _pole_terms(kind, zs.rhos[:used], coeff, 2.0, factor,
-                               hermitian)
     log_pref = math.log(abs(pref))
-    double, pairs = _pair_total(
-        zs.gammas[:used], coeff, 2.0, factor,
+    return _expand(
+        kind, zs, 2.0, factor,
         lambda t: log_pref - np.log(np.hypot(s.real - 1.0, t - s.imag)),
-        (main, single), hermitian)
-    envelope = abs(pref) / (s.real - 0.5 - ENV_EPS)
-    return _assemble(main, single, double, T, used, pairs, envelope,
-                     hermitian)
+        abs(pref) / (s.real - 0.5 - ENV_EPS), hermitian=s.imag == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +499,7 @@ def exponential_direct(series: ConvolutionSeries, y, N):
     return blocked_sum(series.values[1:N + 1] * np.exp(-y * n))
 
 
-def exponential_explicit(kind, y, zs, T=None):
+def exponential_explicit(kind, y, zs):
     """Zero expansion of sum S(n) e^(-n y); the double sum factors.
 
     Kernel K(w) = y^(-w), with no Gamma factor, so the main term is
@@ -517,20 +513,12 @@ def exponential_explicit(kind, y, zs, T=None):
     y = float(y)
     if y <= 0.0:
         raise ValueError("y must be positive")
-    used, T = _usable(zs, T)
-    rhos = zs.rhos[:used]
-    coeff = _coefficients(kind, zs, used)
     ly = math.log(y)
 
     def factor(w, log_kernel):
         return np.exp(log_kernel - w * ly)
 
-    main, single = _pole_terms(kind, rhos, coeff, None, factor,
-                               hermitian=True)
-    inner = _single_total(rhos, coeff, 0.0, None, factor, hermitian=True)
-    envelope = y ** (-0.5 - ENV_EPS) + 1.0
-    return _assemble(main, single, inner * inner, T, used, 0, envelope,
-                     hermitian=True)
+    return _expand(kind, zs, None, factor, None, y ** (-0.5 - ENV_EPS) + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +548,7 @@ def double_series_diagnostic(zs, k, coeff_kind, K):
     if k <= 0.5:
         raise ValueError("absolute convergence needs k > 1/2")
     gam = zs.gammas[:K]
-    cabs = np.abs(_coefficients(coeff_kind, zs, K))
+    cabs = np.abs(_coefficients(coeff_kind, zs)[:K])
     shift = 1.0 + k
     # i <= j, so the pairs of the K'-zero set are those with j < K'
     ii, jj = _pair_layout(K)
@@ -806,7 +794,7 @@ def weighted_average_rhs(w: PolynomialWeight, table: SieveTable, d=2,
 
 
 def weighted_average_explicit(w: PolynomialWeight, table: SieveTable, zs,
-                              d=2, T=None):
+                              d=2):
     """Zero expansion of the weighted average, as an ExplicitBreakdown.
 
     With I(z) = int f''(w) w^(z+1) dw, the kernel is
@@ -821,18 +809,14 @@ def weighted_average_explicit(w: PolynomialWeight, table: SieveTable, zs,
     caveat.
     """
     d = _order(d)
-    used, T = _usable(zs, T)
-    coeff = _coefficients(table.kind, zs, used)
     leta = math.log(w.eta)
 
     def factor(u, log_kernel):
         return np.exp(log_kernel + (u + (d - 2)) * leta) \
             * w.moments(u + (d - 2.0))
 
-    main, single = _pole_terms(table.kind, zs.rhos[:used], coeff, d, factor,
-                               hermitian=True)
-    if w.boundary_applies:
-        main = complex(main) + _boundary_term(w, *_prefix_pair(w, table, d))
+    boundary = (_boundary_term(w, *_prefix_pair(w, table, d))
+                if w.boundary_applies else None)
 
     # f'' >= 0 on [a, b), so int |f''| w^p dw = I(p - 1); in particular
     # |I(z + d - 2)| <= I(d - 1) on Re z = 1
@@ -840,10 +824,7 @@ def weighted_average_explicit(w: PolynomialWeight, table: SieveTable, zs,
         return float(w.moments(p - 1.0).real)
 
     log_bound = (d - 2) * leta + math.log(abs_moment(d))
-    double, pairs = _pair_total(zs.gammas[:used], coeff, 2.0, factor,
-                                lambda t: log_bound, (main, single),
-                                hermitian=True)
     envelope = (w.eta ** (d - 1.5 + ENV_EPS) * abs_moment(d - 0.5 + ENV_EPS)
                 + w.eta ** (d - 2) * abs_moment(d - 1))
-    return _assemble(main, single, double, T, used, pairs, envelope,
-                     hermitian=True)
+    return _expand(table.kind, zs, d, factor, lambda t: log_bound, envelope,
+                   pair_shift=2.0, boundary=boundary)

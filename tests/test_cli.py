@@ -45,6 +45,9 @@ def test_usage_errors_exit_2(tmp_path, cache80):
     bad = tmp_path / "bad.cfg"
     bad.write_text("volume = 11\n")
     assert cli.main(["verify", "identity", "--config", str(bad)]) == 2
+    bad.write_text("T = 50\n")
+    assert cli.main(["verify", "L", "--zeros", cache80,
+                     "--config", str(bad)]) == 2
 
 
 def test_subcommands_reject_flags_they_do_not_use(tmp_path, capsys):
@@ -56,13 +59,15 @@ def test_subcommands_reject_flags_they_do_not_use(tmp_path, capsys):
                           ("verify L", "--format=xml")):
         assert cli.main(command.split() + ["--output", "unused", flag]) == 2
     assert cli.main(["--help"]) == 0
+    # the zero set is cut by --count alone; --T is no flag of any target
+    assert cli.main(["verify", "L", "--T", "30"]) == 2
     for target, flag, value in (("dirichlet", "samples", "log:5:10:100"),
                                 ("dirichlet", "trials", "3"),
                                 ("dirichlet", "y", "0.1"),
                                 ("dirichlet", "weight", "0:1:10"),
                                 ("cesaro", "d", "2"), ("L", "s", "3"),
                                 ("identity", "zeros", "z.npz"),
-                                ("identity", "T", "50"),
+                                ("identity", "count", "5"),
                                 ("exponential", "samples", "log:5:10:100")):
         capsys.readouterr()
         assert cli.main(["verify", target, f"--{flag}", value]) == 2

@@ -66,13 +66,30 @@ def test_breakdown_parts_sum_exactly(zs1000, lio_10k):
 
 
 def test_summatory_truncation_accounting(zs1000):
-    bd = explicit.explicit_summatory(sieve.KIND_LIOUVILLE, 100.0, zs1000,
-                                     T=100.0)
-    assert bd.truncation_T == 100.0
-    assert bd.zeros_used == int(np.searchsorted(zs1000.gammas, 100.0))
-    with pytest.raises(ValueError):
-        explicit.explicit_summatory(sieve.KIND_LIOUVILLE, 100.0, zs1000,
-                                    T=zs1000.t_max + 5.0)
+    for k in (1, 29, 1000):
+        bd = explicit.explicit_summatory(sieve.KIND_LIOUVILLE, 100.0,
+                                         zeros.truncate(zs1000, count=k))
+        assert bd.zeros_used == k
+        assert bd.truncation_T == zs1000.gammas[k - 1]
+
+
+@pytest.mark.parametrize("kind", [sieve.KIND_LIOUVILLE, sieve.KIND_MOEBIUS])
+def test_every_formula_on_an_empty_zero_set(kind):
+    """No zeros: T reads 1.0 and every zero sum is an exact 0."""
+    empty = zeros.enrich([])
+    w = explicit.PolynomialWeight(1.0, 2.5, 40.0)
+    table = sieve.build_sieve(kind, 200)
+    for bd in (explicit.explicit_summatory(kind, 100.0, empty),
+               explicit.explicit_cesaro(kind, 100.0, empty),
+               explicit.dirichlet_explicit(kind, 3.0 + 1.0j, empty),
+               explicit.exponential_explicit(kind, 0.1, empty),
+               explicit.weighted_average_explicit(w, table, empty)):
+        assert bd.truncation_T == 1.0
+        assert bd.zeros_used == 0
+        assert bd.pair_terms == 0
+        assert bd.single_sum == 0.0
+        assert bd.double_sum == 0.0
+        assert bd.total == bd.main_term
 
 
 def test_summatory_single_sum_brute(zs1000):
