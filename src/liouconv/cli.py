@@ -43,6 +43,7 @@ import time
 from dataclasses import dataclass, asdict, field
 
 import numpy as np
+import scipy
 
 from . import convolve, explicit, sieve, specfun, zeros
 
@@ -297,24 +298,15 @@ def _load_zeroset(cfg, inputs):
         inputs[path] = _sha256_file(path)
     except OSError as exc:
         raise UsageError(f"cannot read zeros file {path}: {exc}")
-    if zeros.is_cache(path):
-        zset = zeros.load_cache(path)
-        if cfg.count is not None:
-            if cfg.count > len(zset.gammas):
-                raise UsageError(
-                    f"--count {cfg.count} exceeds cached zeros "
-                    f"({len(zset.gammas)})")
-            zset = zeros.truncate(zset, count=cfg.count)
-    else:
-        ordinates = zeros.load_ordinates(path)
-        if cfg.count is not None:
-            if cfg.count > len(ordinates):
-                raise UsageError(
-                    f"--count {cfg.count} exceeds ordinates in {path} "
-                    f"({len(ordinates)})")
-            ordinates = ordinates[:cfg.count]
-        zset = zeros.enrich(ordinates)
-    return zset
+    cached = zeros.is_cache(path)
+    loaded = zeros.load_cache(path) if cached else zeros.load_ordinates(path)
+    if cfg.count is not None:
+        if cfg.count > len(loaded):
+            raise UsageError(f"--count {cfg.count} exceeds the "
+                             f"{len(loaded)} zeros in {path}")
+        loaded = (zeros.truncate(loaded, count=cfg.count) if cached
+                  else loaded[:cfg.count])
+    return loaded if cached else zeros.enrich(loaded)
 
 
 def _sample_grid(spec):
@@ -387,15 +379,11 @@ def _write_manifest(cfg, report_path, inputs, results=None):
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
             "liouconv": _package_version(),
         },
         "inputs": dict(sorted(inputs.items())),
     }
-    try:
-        import scipy
-        doc["versions"]["scipy"] = scipy.__version__
-    except ImportError:
-        pass
     doc["report"] = {"path": str(report_path),
                      "sha256": _sha256_file(report_path)}
     if results is not None:
@@ -532,19 +520,28 @@ def _run_exponential(cfg, zset):
     return cols, summary, failures
 
 
+def _exact_identity(w, table, d, failures, where):
+    """(direct, rhs, relative residual) of the exact weighted identity,
+    both sides read from one S_(d-1); a residual over the tolerance is
+    appended to failures, labelled with where."""
+    inner = explicit.identity_series(w, table, d=d)
+    direct = explicit.weighted_average_direct(w, table, d=d, inner=inner)
+    rhs = explicit.weighted_average_rhs(w, table, d=d, inner=inner)
+    rel = abs(direct - rhs) / max(1.0, abs(direct))
+    if rel > _REL_IDENTITY_TOL:
+        failures.append(f"{where}: exact identity residual {rel:.3e} "
+                        f"exceeds {_REL_IDENTITY_TOL:g}")
+    return direct, rhs, rel
+
+
 def _run_weighted(cfg, zset):
     a, b, eta, power = cfg.weight
     d = cfg.d or 2
     table = sieve.build_sieve(sieve.KIND_LIOUVILLE, cfg.limit)
     w = explicit.PolynomialWeight(a, b, eta, power=power)
-    direct = explicit.weighted_average_direct(w, table, d=d)
-    ident = explicit.weighted_average_rhs(w, table, d=d)
-    rel = abs(direct - ident) / max(1.0, abs(direct))
     failures = []
-    if rel > _REL_IDENTITY_TOL:
-        failures.append(
-            f"exact identity residual {rel:.3e} exceeds "
-            f"{_REL_IDENTITY_TOL:g}")
+    direct, ident, rel = _exact_identity(w, table, d, failures,
+                                         "weighted run")
     cols = {
         "a": [a], "b": [b], "eta": [eta], "power": [power], "d": [d],
         "direct": [direct], "identity_rhs": [ident],
@@ -594,25 +591,13 @@ def _run_identity(cfg, zset):
         if kind not in tables:
             tables[kind] = sieve.build_sieve(kind, cfg.limit)
         w = explicit.PolynomialWeight(a, b, eta, power=power)
-        inner = explicit.identity_series(w, tables[kind], d=d)
-        direct = explicit.weighted_average_direct(w, tables[kind], d=d,
-                                                  inner=inner)
-        rhs = explicit.weighted_average_rhs(w, tables[kind], d=d, inner=inner)
-        rel = abs(direct - rhs) / max(1.0, abs(direct))
-        if rel > _REL_IDENTITY_TOL:
-            failures.append(
-                f"trial {t} ({kind}, d={d}): relative residual {rel:.3e}")
-        cols["trial"].append(t)
-        cols["kind"].append(kind)
-        cols["d"].append(d)
-        cols["a"].append(a)
-        cols["b"].append(b)
-        cols["eta"].append(eta)
-        cols["power"].append(power)
-        cols["direct"].append(direct)
-        cols["rhs"].append(rhs)
-        cols["residual"].append(abs(direct - rhs))
-        cols["rel_residual"].append(rel)
+        direct, rhs, rel = _exact_identity(w, tables[kind], d, failures,
+                                           f"trial {t} ({kind}, d={d})")
+        row = {"trial": t, "kind": kind, "d": d, "a": a, "b": b, "eta": eta,
+               "power": power, "direct": direct, "rhs": rhs,
+               "residual": abs(direct - rhs), "rel_residual": rel}
+        for key, col in cols.items():
+            col.append(row[key])
     summary = {
         "rows": trials,
         "median_rel_residual": float(np.median(cols["rel_residual"])),

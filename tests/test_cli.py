@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from liouconv import cli, sieve, specfun, zeros
+from liouconv import cli, explicit, sieve, specfun, zeros
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +194,39 @@ def test_zeros_routed_by_content(tmp_path, name):
                      "--count", "20", "--samples", "linear:3:50:500",
                      "--output", str(report)]) == 0
     assert report.read_text().splitlines()[1].split(",")[-2] == "20"
+
+
+@pytest.mark.parametrize("source", ["cache", "text"])
+def test_count_beyond_the_zeros_file_exits_2(tmp_path, capsys, cache80,
+                                             source):
+    """--count is checked against the zeros that a cache or an ordinate
+    file holds, the same way for both."""
+    path = cache80
+    if source == "text":
+        path = str(tmp_path / "ords.txt")
+        with open(path, "w") as fh:
+            fh.write("".join(f"{g:.13f}\n"
+                             for g in zeros.bundled_ordinates(80)))
+    argv = ["verify", "L", "--limit", "500", "--zeros", path,
+            "--samples", "linear:3:50:500",
+            "--output", str(tmp_path / "L.csv")]
+    capsys.readouterr()
+    assert cli.main(argv + ["--count", "81"]) == 2
+    assert (f"error: --count 81 exceeds the 80 zeros in {path}"
+            in capsys.readouterr().err)
+    assert cli.main(argv + ["--count", "80"]) == 0
+
+
+def test_weighted_builds_the_inner_series_once(tmp_path, monkeypatch):
+    """Both sides of verify weighted's exact identity read one S_2."""
+    folds = []
+    real = explicit.convolve_fft
+    monkeypatch.setattr(explicit, "convolve_fft",
+                        lambda *args: folds.append(args[1:]) or real(*args))
+    assert cli.main(["verify", "weighted", "--limit", "500", "--d", "3",
+                     "--weight", "0:2.5:40",
+                     "--output", str(tmp_path / "w.csv")]) == 0
+    assert folds == [(2, 101)]
 
 
 def test_config_file_precedence(tmp_path, cache80):
