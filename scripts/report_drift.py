@@ -7,16 +7,16 @@ when the arrays match bit for bit and the largest relative move
 otherwise.  Each tree also runs the same 17 `verify` cases (every
 target at small sizes, plus `dfold --d 4`, `dirichlet --s 3` and
 `weighted --d 3` with zeros, `identity` over six trials, which reach
-both kinds at d = 2 and 3 and the boundary term, L and cesaro cut to
-40 zeros by `--count`, and L and M at 3e6, where the sieve tables span
-several segments) in its own interpreter, against one shared 80-zero
-cache made by the new tree, inside a temporary directory.  For each
-case the script prints "identical" when the two CSV reports match
-byte for byte.  Otherwise it prints each moved column with its
-largest |change| over max(1, |main|, |single|, |double|, |direct|,
-|total|) of the row (the old tree's values), each moved summary key
-with |change| over max(1, |old|), and "header differs" or "changed"
-for anything that is not a float.
+both kinds at d = 2 and 3, 0 < eta*a < 1 and the boundary term, L
+and cesaro cut to 40 zeros by `--count`, and L and M at 3e6, where the
+sieve tables span several segments) in its own interpreter, against
+one shared 80-zero cache made by the new tree, inside a temporary
+directory.  For each case the script prints "identical" when the two
+CSV reports match byte for byte.  Otherwise it prints each moved
+column with its largest |change| over max(1, |main|, |single|,
+|double|, |direct|, |total|) of the row (the old tree's values), each
+moved summary key with |change| over max(1, |old|), and "header
+differs" or "changed" for anything that is not a float.
 
 Each tree also writes the exact side's artifacts in a fresh
 interpreter: the lambda table to 1e7 and the mu table to 3e6 in the

@@ -115,6 +115,11 @@ def test_identity_run_report_structure(tmp_path):
     rows = head.strip().splitlines()
     assert rows[0].split(",")[:4] == ["trial", "kind", "d", "a"]
     assert len(rows) == 7
+    # every third trial cuts the first factor below index 1: 0 < eta*a < 1
+    header = rows[0].split(",")
+    for row in rows[2::3]:
+        vals = dict(zip(header, row.split(",")))
+        assert 0.0 < float(vals["eta"]) * float(vals["a"]) < 1.0
     assert summary["identity_ok"] == "true"
     assert float(summary["max_rel_residual"]) < 1e-8
 
