@@ -581,14 +581,14 @@ def _run_identity(cfg, zset):
         if shape == 0:
             a = 0.0
         elif shape == 1:
-            a = float(rng.uniform(0.05, 0.9))   # eta*a, once a /= eta
+            a = float(rng.uniform(0.05, 0.9))   # becomes eta*a below
         else:
             a = float(rng.uniform(1.0, 4.0))    # boundary term in play
         b = a + float(rng.uniform(1.0, 3.0))
         eta_hi = (cfg.limit - 2) / b
         eta = float(rng.uniform(min(10.0, eta_hi / 2), min(60.0, eta_hi)))
         if shape == 1:
-            a /= eta    # 0 < eta*a < 1: a cut below the first index
+            a /= eta    # 0 < eta*a < 1: the cut falls below index 1
         power = int(rng.integers(2, 5))
         if kind not in tables:
             tables[kind] = sieve.build_sieve(kind, cfg.limit)
