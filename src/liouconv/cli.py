@@ -520,13 +520,12 @@ def _run_exponential(cfg, zset):
     return cols, summary, failures
 
 
-def _exact_identity(w, table, d, failures, where):
-    """(direct, rhs, relative residual) of the exact weighted identity,
-    both sides read from one S_(d-1); a residual over the tolerance is
-    appended to failures, labelled with where."""
-    inner = explicit.identity_series(w, table, d=d)
-    direct = explicit.weighted_average_direct(w, table, d=d, inner=inner)
-    rhs = explicit.weighted_average_rhs(w, table, d=d, inner=inner)
+def _exact_identity(wa, failures, where):
+    """(direct, rhs, relative residual) of the exact weighted identity of
+    the WeightedAverage wa; a residual over the tolerance is appended to
+    failures, labelled with where."""
+    direct = explicit.weighted_average_direct(wa)
+    rhs = explicit.weighted_average_rhs(wa)
     rel = abs(direct - rhs) / max(1.0, abs(direct))
     if rel > _REL_IDENTITY_TOL:
         failures.append(f"{where}: exact identity residual {rel:.3e} "
@@ -538,10 +537,10 @@ def _run_weighted(cfg, zset):
     a, b, eta, power = cfg.weight
     d = cfg.d or 2
     table = sieve.build_sieve(sieve.KIND_LIOUVILLE, cfg.limit)
-    w = explicit.PolynomialWeight(a, b, eta, power=power)
+    wa = explicit.WeightedAverage(
+        explicit.PolynomialWeight(a, b, eta, power=power), table, d)
     failures = []
-    direct, ident, rel = _exact_identity(w, table, d, failures,
-                                         "weighted run")
+    direct, ident, rel = _exact_identity(wa, failures, "weighted run")
     cols = {
         "a": [a], "b": [b], "eta": [eta], "power": [power], "d": [d],
         "direct": [direct], "identity_rhs": [ident],
@@ -553,7 +552,7 @@ def _run_weighted(cfg, zset):
         "identity_ok": rel <= _REL_IDENTITY_TOL,
     }
     if zset is not None:
-        bd = explicit.weighted_average_explicit(w, table, zset, d=d)
+        bd = explicit.weighted_average_explicit(wa, zset)
         worst = _check_realness(bd, failures, "weighted run")
         resid = abs(direct - bd.total)
         for key in ("main_term", "single_sum", "double_sum", "total",
@@ -592,8 +591,10 @@ def _run_identity(cfg, zset):
         power = int(rng.integers(2, 5))
         if kind not in tables:
             tables[kind] = sieve.build_sieve(kind, cfg.limit)
-        w = explicit.PolynomialWeight(a, b, eta, power=power)
-        direct, rhs, rel = _exact_identity(w, tables[kind], d, failures,
+        wa = explicit.WeightedAverage(
+            explicit.PolynomialWeight(a, b, eta, power=power), tables[kind],
+            d)
+        direct, rhs, rel = _exact_identity(wa, failures,
                                            f"trial {t} ({kind}, d={d})")
         row = {"trial": t, "kind": kind, "d": d, "a": a, "b": b, "eta": eta,
                "power": power, "direct": direct, "rhs": rhs,

@@ -42,11 +42,13 @@ log |F| for the double sum and its envelope; _expand evaluates the
 rest through _single_total and _pair_total.
 
 Weighted averages.  One weight type, PolynomialWeight, stands for
-f(w) = (b - w)^p on [a, b) at scale eta.  weighted_average_rhs restates
-the weighted d-fold sum exactly, as a boundary term plus
-int f''(w) K(eta w) dw with K built from the sieved table;
+f(w) = (b - w)^p on [a, b) at scale eta.  WeightedAverage(w, table, d)
+builds S_(d-1) and the prefix sums of v and S_(d-1) once, and the three
+weighted functions read only it.  weighted_average_rhs restates
+weighted_average_direct exactly, as a boundary term plus
+int f''(w) K(eta w) dw with K built from those prefix sums;
 weighted_average_explicit expands it over the zeros through the closed
-form of I(z) = int f''(w) w^(z+1) dw.  Both take the kind from the table.
+form of I(z) = int f''(w) w^(z+1) dw.  The kind comes from the table.
 
 Determinism.  Every floating sum is one math.fsum, which rounds the
 exact total of its terms once.  The result does not depend on the order
@@ -56,7 +58,7 @@ of the terms, so the same inputs always give the same bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,7 +76,7 @@ __all__ = [
     "dirichlet_explicit",
     "exponential_direct",
     "exponential_explicit",
-    "identity_series",
+    "WeightedAverage",
     "weighted_average_direct",
     "weighted_average_rhs",
     "weighted_average_explicit",
@@ -628,43 +630,41 @@ class PolynomialWeight:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
-def _order(d):
-    d = int(d)
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    return d
+@dataclass(frozen=True)
+class WeightedAverage:
+    """One weighted d-fold sum as data: weight w over table, order d >= 2.
+
+    Checks once that the table reaches floor(eta b) + 1, and builds once
+    what the weighted functions read: inner = S_(d-1)(0..floor(eta b) + 1)
+    (S_1 = v) and the prefix sums p1 of v and p2 of S_(d-1).
+    """
+
+    w: PolynomialWeight
+    table: SieveTable
+    d: int = 2
+    inner: np.ndarray = field(init=False, repr=False, compare=False)
+    p1: np.ndarray = field(init=False, repr=False, compare=False)
+    p2: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "d", int(self.d))
+        if self.d < 2:
+            raise ValueError("d must be at least 2")
+        top = int(math.floor(self.w.eta * self.w.b)) + 1
+        if top > self.table.limit:
+            raise ValueError(
+                f"the weighted average needs sieve values to {top}, table "
+                f"stops at {self.table.limit}")
+        if self.d == 2:
+            inner = self.table.values[:top + 1].astype(np.int64)
+        else:
+            inner = convolve_fft(self.table, self.d - 1, top).values
+        object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "p1", self.table.prefix[:top + 1])
+        object.__setattr__(self, "p2", np.cumsum(inner, dtype=np.int64))
 
 
-def _inner_series(table: SieveTable, d, limit):
-    """S_(d-1)(0..limit), the (d-1)-fold convolution of the table (S_1 = v)."""
-    if d == 2:
-        return table.values[:limit + 1].astype(np.int64)
-    return convolve_fft(table, d - 1, limit).values
-
-
-def identity_series(w: PolynomialWeight, table: SieveTable, d=2):
-    """S_(d-1)(0..floor(eta b) + 1), all of the inner series that both
-    sides of the weighted identity read: build it once and pass it to
-    weighted_average_direct and weighted_average_rhs as `inner`."""
-    top = int(math.floor(w.eta * w.b)) + 1
-    if top > table.limit:
-        raise ValueError(
-            f"the weighted identity needs sieve values to {top}, table "
-            f"stops at {table.limit}")
-    return _inner_series(table, _order(d), top)
-
-
-def _prefix_pair(w: PolynomialWeight, table: SieveTable, d, inner=None):
-    """Prefix sums p1 of v and p2 of S_(d-1) up to floor(eta b) + 1."""
-    if inner is None:
-        inner = identity_series(w, table, d)
-    top = int(math.floor(w.eta * w.b)) + 1
-    return (table.prefix[:top + 1],
-            np.cumsum(inner[:top + 1], dtype=np.int64))
-
-
-def weighted_average_direct(w: PolynomialWeight, table: SieveTable, d=2,
-                            inner=None):
+def weighted_average_direct(wa: WeightedAverage):
     """Exact weighted sum over d-tuples, first index cut at eta*a.
 
     Computes the sum over eta*a < n <= eta*b and m >= 1 of
@@ -672,26 +672,13 @@ def weighted_average_direct(w: PolynomialWeight, table: SieveTable, d=2,
     S_(d-1) its (d-1)-fold additive convolution (S_1 = v).  The support
     of f imposes n + m < eta*b, so the sum is finite; everything is
     integer convolution work plus one f evaluation per attained total.
-    `inner`, when given, is identity_series(w, table, d); otherwise
-    S_(d-1) is built here.
     """
-    d = _order(d)
-    nb = w.eta * w.b
-    if nb > table.limit:
-        raise ValueError(
-            f"eta*b = {nb:.1f} exceeds the sieve table limit {table.limit}")
-    hi = int(math.floor(nb))
-    if hi < d:
-        return 0.0
-    vcut = table.values[:hi + 1].astype(np.int64)
-    cut = int(math.floor(w.eta * w.a))
-    vcut[:min(cut + 1, hi + 1)] = 0
-    if inner is None:
-        inner = _inner_series(table, d, hi)
-    totals = np.convolve(vcut, inner[:hi + 1])[:hi + 1]
+    w = wa.w
+    hi = int(math.floor(w.eta * w.b))
+    vcut = wa.table.values[:hi + 1].astype(np.int64)
+    vcut[:int(math.floor(w.eta * w.a)) + 1] = 0
+    totals = np.convolve(vcut, wa.inner[:hi + 1])[:hi + 1]
     idx = np.nonzero(totals)[0]
-    if idx.size == 0:
-        return 0.0
     terms = totals[idx] * np.asarray(w.f(idx / w.eta), dtype=np.float64)
     return float(blocked_sum(terms))
 
@@ -753,27 +740,24 @@ def _boundary_term(w: PolynomialWeight, p1, p2):
     return g1a * math.fsum(steps * (fv[1:] - fv[:-1]))
 
 
-def weighted_average_rhs(w: PolynomialWeight, table: SieveTable, d=2,
-                         inner=None):
+def weighted_average_rhs(wa: WeightedAverage):
     """Right-hand side of the exact weighted-average identity.
 
     The boundary term plus (1/eta) int f''(w) K(eta w) dw, where K is the
     exact convolution integral of the two step summatories.  This is an
     unconditional restatement of the double sum and must match
-    weighted_average_direct to rounding.  `inner`, when given, is
-    identity_series(w, table, d); otherwise S_(d-1) is built here.
+    weighted_average_direct to rounding.
     """
-    d = _order(d)
-    p1, p2 = _prefix_pair(w, table, d, inner)
+    w, p1, p2 = wa.w, wa.p1, wa.p2
     na = w.eta * w.a
     nb = w.eta * w.b
+    # the kink positions start at na, so only the top needs trimming
     xs, ks = _kink_kernel(p1, p2, na, nb)
-    lo_i = max(int(np.searchsorted(xs, na, side="right")) - 1, 0)
     hi_i = min(int(np.searchsorted(xs, nb, side="left")), xs.size - 1)
-    xs = xs[lo_i:hi_i + 1]
-    ks = ks[lo_i:hi_i + 1]
+    xs = xs[:hi_i + 1]
+    ks = ks[:hi_i + 1]
     dx = xs[1:] - xs[:-1]
-    lefts = np.maximum(xs[:-1], na)
+    lefts = xs[:-1]
     rights = np.minimum(xs[1:], nb)
     keep = (dx > 1e-9) & (rights - lefts > 1e-12)
     x0 = xs[:-1][keep]
@@ -793,8 +777,7 @@ def weighted_average_rhs(w: PolynomialWeight, table: SieveTable, d=2,
     return _boundary_term(w, p1, p2) + kernel
 
 
-def weighted_average_explicit(w: PolynomialWeight, table: SieveTable, zs,
-                              d=2):
+def weighted_average_explicit(wa: WeightedAverage, zs):
     """Zero expansion of the weighted average, as an ExplicitBreakdown.
 
     With I(z) = int f''(w) w^(z+1) dw, the kernel is
@@ -803,19 +786,19 @@ def weighted_average_explicit(w: PolynomialWeight, table: SieveTable, zs,
     sum, while the double sum divides by Gamma(u + 2) instead; the two
     agree at d = 2.  The table's kind picks the coefficients; moebius
     keeps the double sum alone.  When eta*a >= 1 the boundary term is
-    computed exactly from the table and folded into main_term, keeping
-    the total-sum invariant.  Only d = 2 is numerically confirmed as an
-    asymptotic for these exponents; see explicit_cesaro on the d >= 3
-    caveat.
+    computed exactly from wa's prefix sums and folded into main_term,
+    keeping the total-sum invariant.  Only d = 2 is numerically
+    confirmed as an asymptotic for these exponents; see explicit_cesaro
+    on the d >= 3 caveat.
     """
-    d = _order(d)
+    w, d = wa.w, wa.d
     leta = math.log(w.eta)
 
     def factor(u, log_kernel):
         return np.exp(log_kernel + (u + (d - 2)) * leta) \
             * w.moments(u + (d - 2.0))
 
-    boundary = (_boundary_term(w, *_prefix_pair(w, table, d))
+    boundary = (_boundary_term(w, wa.p1, wa.p2)
                 if w.boundary_applies else None)
 
     # f'' >= 0 on [a, b), so int |f''| w^p dw = I(p - 1); in particular
@@ -826,5 +809,5 @@ def weighted_average_explicit(w: PolynomialWeight, table: SieveTable, zs,
     log_bound = (d - 2) * leta + math.log(abs_moment(d))
     envelope = (w.eta ** (d - 1.5 + ENV_EPS) * abs_moment(d - 0.5 + ENV_EPS)
                 + w.eta ** (d - 2) * abs_moment(d - 1))
-    return _expand(table.kind, zs, d, factor, lambda t: log_bound, envelope,
+    return _expand(wa.table.kind, zs, d, factor, lambda t: log_bound, envelope,
                    pair_shift=2.0, boundary=boundary)

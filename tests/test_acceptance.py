@@ -123,8 +123,9 @@ def test_criterion_05_weighted_identity(criterion):
         w = explicit.PolynomialWeight(a, b, eta, power=power)
         if w.boundary_applies:
             boundary_cases += 1
-        direct = explicit.weighted_average_direct(w, tables[kind], d=d)
-        rhs = explicit.weighted_average_rhs(w, tables[kind], d=d)
+        wa = explicit.WeightedAverage(w, tables[kind], d)
+        direct = explicit.weighted_average_direct(wa)
+        rhs = explicit.weighted_average_rhs(wa)
         worst = max(worst, abs(direct - rhs) / max(1.0, abs(direct)))
     dt = perf_counter() - t0
     ok = worst <= 1e-8 and boundary_cases >= 5 and dt < 120.0

@@ -222,16 +222,25 @@ def test_count_beyond_the_zeros_file_exits_2(tmp_path, capsys, cache80,
     assert cli.main(argv + ["--count", "80"]) == 0
 
 
-def test_weighted_builds_the_inner_series_once(tmp_path, monkeypatch):
-    """Both sides of verify weighted's exact identity read one S_2."""
+@pytest.mark.parametrize("limit, weight, with_zeros, fold", [
+    ("500", "0:2.5:40", False, (2, 101)),
+    ("2000", "1.5:2.5:30:3", True, (2, 76)),
+])
+def test_weighted_builds_the_inner_series_once(tmp_path, monkeypatch,
+                                               cache80, limit, weight,
+                                               with_zeros, fold):
+    """Both sides of verify weighted's exact identity, and with zeros at
+    eta*a >= 1 the boundary term of its zero expansion, read one S_2."""
     folds = []
     real = explicit.convolve_fft
     monkeypatch.setattr(explicit, "convolve_fft",
                         lambda *args: folds.append(args[1:]) or real(*args))
-    assert cli.main(["verify", "weighted", "--limit", "500", "--d", "3",
-                     "--weight", "0:2.5:40",
-                     "--output", str(tmp_path / "w.csv")]) == 0
-    assert folds == [(2, 101)]
+    argv = ["verify", "weighted", "--limit", limit, "--d", "3",
+            "--weight", weight, "--output", str(tmp_path / "w.csv")]
+    if with_zeros:
+        argv += ["--zeros", cache80]
+    assert cli.main(argv) == 0
+    assert folds == [fold]
 
 
 def test_config_file_precedence(tmp_path, cache80):

@@ -83,7 +83,8 @@ def test_every_formula_on_an_empty_zero_set(kind):
                explicit.explicit_cesaro(kind, 100.0, empty),
                explicit.dirichlet_explicit(kind, 3.0 + 1.0j, empty),
                explicit.exponential_explicit(kind, 0.1, empty),
-               explicit.weighted_average_explicit(w, table, empty)):
+               explicit.weighted_average_explicit(
+                   explicit.WeightedAverage(w, table), empty)):
         assert bd.truncation_T == 1.0
         assert bd.zeros_used == 0
         assert bd.pair_terms == 0
@@ -198,8 +199,8 @@ def test_single_sums_brute(lio_10k, zs1000, case):
     else:
         d = int(d)
         w = explicit.PolynomialWeight(0.5, 3.0, 50.0, power=3)
-        got = explicit.weighted_average_explicit(w, lio_10k, zsub,
-                                                 d=d).single_sum
+        got = explicit.weighted_average_explicit(
+            explicit.WeightedAverage(w, lio_10k, d), zsub).single_sum
         terms = _brute_single_terms(
             zsub, coeff, offset, d, lambda u: w.eta ** (u + d - 2)
             * complex(w.moments(np.array([u + d - 2.0]))[0]))
@@ -273,7 +274,8 @@ def _weighted_pair_terms(zsub, coeff, w, d):
 def test_weighted_explicit_double_sum_brute(lio_10k, zs1000, d):
     zsub = zeros.truncate(zs1000, count=12)
     w = explicit.PolynomialWeight(0.5, 3.0, 50.0, power=3)
-    bd = explicit.weighted_average_explicit(w, lio_10k, zsub, d=d)
+    bd = explicit.weighted_average_explicit(
+        explicit.WeightedAverage(w, lio_10k, d), zsub)
     terms = _weighted_pair_terms(zsub, zsub.z2rhos / zsub.zprimes, w, d)
     brute = math.fsum(t.real for t in terms)
     assert bd.double_sum == pytest.approx(brute, rel=1e-10)
@@ -287,7 +289,8 @@ def test_weighted_explicit_moebius_is_double_only(zs1000, d):
     w = explicit.PolynomialWeight(0.0, 3.0, 50.0, power=3)
     assert not w.boundary_applies
     table = sieve.build_sieve(sieve.KIND_MOEBIUS, 256)
-    bd = explicit.weighted_average_explicit(w, table, zsub, d=d)
+    bd = explicit.weighted_average_explicit(
+        explicit.WeightedAverage(w, table, d), zsub)
     assert bd.main_term == 0.0
     assert bd.single_sum == 0.0
     terms = _weighted_pair_terms(zsub, 1.0 / zsub.zprimes, w, d)
@@ -406,7 +409,8 @@ def _brute_weighted(w, table, d):
 def test_weighted_direct_brute(kind, d):
     table = sieve.build_sieve(kind, 64)
     w = explicit.PolynomialWeight(0.3, 2.1, 8.0, power=3)
-    got = explicit.weighted_average_direct(w, table, d=d)
+    got = explicit.weighted_average_direct(
+        explicit.WeightedAverage(w, table, d))
     want = _brute_weighted(w, table, d)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
@@ -420,16 +424,11 @@ def test_exact_identity_spot(kind):
                             (1.3, 3.3, 25.0, 3, 3),
                             (0.02, 2.5, 30.0, 2, 2),
                             (0.02, 2.5, 30.0, 3, 3)):
-        w = explicit.PolynomialWeight(a, b, eta, power=p)
-        direct = explicit.weighted_average_direct(w, table, d=d)
-        rhs = explicit.weighted_average_rhs(w, table, d=d)
+        wa = explicit.WeightedAverage(
+            explicit.PolynomialWeight(a, b, eta, power=p), table, d)
+        direct = explicit.weighted_average_direct(wa)
+        rhs = explicit.weighted_average_rhs(wa)
         assert abs(direct - rhs) / max(1.0, abs(direct)) < 1e-10
-        # one shared S_(d-1) gives both sides the same values bit for bit
-        inner = explicit.identity_series(w, table, d=d)
-        assert explicit.weighted_average_direct(w, table, d=d,
-                                                inner=inner) == direct
-        assert explicit.weighted_average_rhs(w, table, d=d,
-                                             inner=inner) == rhs
 
 
 def test_polynomial_weight_moments_against_quadrature():
@@ -479,8 +478,9 @@ def test_boundary_flag():
 def test_weighted_explicit_formula_breakdown(lio_10k, zs1000):
     zsub = zeros.truncate(zs1000, count=300)
     w = explicit.PolynomialWeight(0.5, 3.0, 50.0, power=3)
-    direct = explicit.weighted_average_direct(w, lio_10k, d=2)
-    bd = explicit.weighted_average_explicit(w, lio_10k, zsub, d=2)
+    wa = explicit.WeightedAverage(w, lio_10k, 2)
+    direct = explicit.weighted_average_direct(wa)
+    bd = explicit.weighted_average_explicit(wa, zsub)
     assert bd.imag_residue < 1e-8 * (1.0 + abs(bd.total))
     assert abs(direct - bd.total) < bd.envelope
 
