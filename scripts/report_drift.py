@@ -4,9 +4,11 @@
 Each tree enriches all 10^4 bundled ordinates (gamma up to about 9878),
 and the script prints, for zeta'(rho) and for zeta(2 rho), "identical"
 when the arrays match bit for bit and the largest relative move
-otherwise.  Each tree also runs the same 17 `verify` cases (every
-target at small sizes, plus `dfold --d 4`, `dirichlet --s 3` and
-`weighted --d 3` with zeros, `identity` over six trials, which reach
+otherwise.  Each tree also runs the same 18 `verify` cases (every
+target at small sizes, plus `dfold --d 4`, `dirichlet --s 3`,
+`weighted --d 3` with zeros, `weighted` with zeros at the fractional
+eta*a = 48.1, where the boundary term and both kink families of the
+kernel are live, `identity` over six trials, which reach
 both kinds at d = 2 and 3, 0 < eta*a < 1 and the boundary term, L
 and cesaro cut to 40 zeros by `--count`, and L and M at 3e6, where the
 sieve tables span several segments) in its own interpreter, against
@@ -61,6 +63,8 @@ CASES = {
                        "--weight", "0:2.5:40"],
     "weighted-zeros-d3": ["weighted", Z, "--limit", "2000", "--d", "3",
                           "--weight", "1.5:2.5:30:3"],
+    "weighted-zeros-frac": ["weighted", Z, "--limit", "2000",
+                            "--weight", "1.3:2.5:37:3"],
     "weighted": ["weighted", "--limit", "2000", "--weight", "0:2.5:40"],
     "identity": ["identity", "--limit", "1024", "--trials", "6"],
     "L-count40": ["L", Z, "--count", "40", "--limit", "800",

@@ -129,12 +129,10 @@ def _parse_weight(text):
     b = _parse_float(parts[1])
     eta = _parse_float(parts[2])
     power = _parse_int(parts[3]) if len(parts) == 4 else 2
-    if not 0.0 <= a < b:
-        raise UsageError("--weight needs 0 <= a < b")
-    if eta <= 0.0:
-        raise UsageError("--weight needs eta > 0")
-    if power < 2:
-        raise UsageError("--weight power must be at least 2")
+    try:
+        explicit.PolynomialWeight(a, b, eta, power=power)
+    except ValueError as exc:
+        raise UsageError(f"--weight {text!r}: {exc}")
     return (a, b, eta, power)
 
 
@@ -243,6 +241,8 @@ def _validate(cfg):
         raise UsageError("--limit must be at least 2")
     if cfg.count is not None and cfg.count < 1:
         raise UsageError("--count must be at least 1")
+    if cfg.count is not None and cfg.zeros is None:
+        raise UsageError("--count needs --zeros")
     if cfg.d is not None and cfg.d < 2:
         raise UsageError("--d must be at least 2")
 

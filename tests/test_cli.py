@@ -42,6 +42,13 @@ def test_usage_errors_exit_2(tmp_path, cache80):
                      "--limit", "100", "--y", "0.01"]) == 2
     assert cli.main(["verify", "weighted", "--weight", "0:2:600",
                      "--limit", "500"]) == 2
+    # the weight's own rules: eta > 0 and power >= 2
+    assert cli.main(["verify", "weighted", "--weight", "0:2:0"]) == 2
+    assert cli.main(["verify", "weighted", "--weight", "0:2:10:1"]) == 2
+    # --count cuts a zero set, so without --zeros it is a usage error
+    assert cli.main(["verify", "weighted", "--limit", "2000",
+                     "--weight", "0:2.5:40", "--count", "5",
+                     "--output", str(tmp_path / "w.csv")]) == 2
     bad = tmp_path / "bad.cfg"
     bad.write_text("volume = 11\n")
     assert cli.main(["verify", "identity", "--config", str(bad)]) == 2
