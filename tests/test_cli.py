@@ -230,8 +230,8 @@ def test_count_beyond_the_zeros_file_exits_2(tmp_path, capsys, cache80,
 
 
 @pytest.mark.parametrize("limit, weight, with_zeros, fold", [
-    ("500", "0:2.5:40", False, (2, 101)),
-    ("2000", "1.5:2.5:30:3", True, (2, 76)),
+    pytest.param("500", "0:2.5:40", False, (2, 101), id="identity"),
+    pytest.param("2000", "1.5:2.5:30:3", True, (2, 76), id="zeros"),
 ])
 def test_weighted_builds_the_inner_series_once(tmp_path, monkeypatch,
                                                cache80, limit, weight,
