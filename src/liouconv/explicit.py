@@ -38,8 +38,9 @@ two residue points:
     double = sum of c(z1) c(z2) Gamma(z1) Gamma(z2) K(z1 + z2).
 
 A formula supplies only F (through factor), the shift, a bound on
-log |F| for the double sum and its envelope; _expand evaluates the
-rest through _single_total and _pair_total.
+log |F| for the double sum and its envelope; _expand does the rest.
+The exponential kernel y^(-w) is multiplicative instead, so that
+expansion is the square of one factor, a y^(-1/2) + sum c(z) Gamma(z) y^(-z).
 
 Weighted averages.  One weight type, PolynomialWeight, stands for
 f(w) = (b - w)^p on [a, b) at scale eta.  WeightedAverage(w, table, d)
@@ -287,21 +288,18 @@ def _pair_total(gammas, coeff, shift, factor, log_factor_bound, parts,
 # single-sum engine and the residue expansion
 
 
-def _single_total(rhos, coeff, offset, shift, factor, hermitian):
-    """The single sum of c(z) Gamma(z) K(z + offset) over z = rho, conj rho.
+def _single_total(rhos, coeff, shift, factor, hermitian):
+    """The single sum of c(z) Gamma(z) K(z + 1/2) over z = rho, conj rho.
 
     The m = 1 twin of _pair_total, with the same factor(w, log_kernel)
-    contract: w = z + offset and log_kernel = log Gamma(z) -
-    log Gamma(w + shift); shift=None drops the denominator, for kernels
-    without a Gamma factor.  hermitian evaluates z = rho only and
-    doubles the real part.
+    contract: w = z + 1/2, the point the pole residue pairs with, and
+    log_kernel = log Gamma(z) - log Gamma(w + shift).  hermitian
+    evaluates z = rho only and doubles the real part.
     """
     def terms(z, c):
-        w = z + offset
-        log_kernel = specfun.log_gamma(z)
-        if shift is not None:
-            log_kernel = log_kernel - specfun.log_gamma(w + shift)
-        return c * factor(w, log_kernel)
+        w = z + 0.5
+        return c * factor(w, specfun.log_gamma(z)
+                          - specfun.log_gamma(w + shift))
 
     plus = terms(rhos, coeff)
     if hermitian:
@@ -313,35 +311,26 @@ def _expand(kind, zs, shift, factor, log_bound, envelope, hermitian=True,
             pair_shift=None, boundary=None):
     """The two-factor residue expansion over every zero of zs.
 
-    main = a^2 K(1), single = 2a times the single sum at offset 1/2
-    (both 0.0 for moebius, which has no pole residue a) and the double
-    sum, with K(w) = F(w) / Gamma(w + shift) given through the
-    factor(w, log_kernel) contract of _pair_total.  shift=None means a
-    multiplicative kernel without a Gamma factor: the double sum is the
-    square of the single sum at offset 0 and no pair is enumerated.
-    Otherwise the pair sum divides by Gamma(w + pair_shift) (pair_shift
-    defaults to shift) and prunes with log_bound.  boundary, when given,
-    is added to main before the pair sum, so it counts toward the
-    pruning scale.
+    main = a^2 K(1), single = 2a times the single sum (both 0.0 for
+    moebius, which has no pole residue a) and the double sum, with
+    K(w) = F(w) / Gamma(w + shift) given through the factor(w, log_kernel)
+    contract of _pair_total.  The pair sum divides by Gamma(w + pair_shift)
+    (pair_shift defaults to shift) and prunes with log_bound; boundary,
+    when given, joins main first and so counts toward the pruning scale.
     """
     rhos = zs.rhos
     coeff = _coefficients(kind, zs)
     a = _pole_residue(kind)
     main, single = 0.0, 0.0
     if a is not None:
-        log_kernel = 0.0 if shift is None else -specfun.log_gamma(1.0 + shift)
-        main = a * a * complex(factor(1.0, log_kernel))
-        single = 2.0 * a * _single_total(rhos, coeff, 0.5, shift, factor,
+        main = a * a * complex(factor(1.0, -specfun.log_gamma(1.0 + shift)))
+        single = 2.0 * a * _single_total(rhos, coeff, shift, factor,
                                          hermitian)
     if boundary is not None:
         main = complex(main) + boundary
-    if shift is None:
-        inner = _single_total(rhos, coeff, 0.0, None, factor, hermitian)
-        double, pairs = inner * inner, 0
-    else:
-        double, pairs = _pair_total(
-            zs.gammas, coeff, shift if pair_shift is None else pair_shift,
-            factor, log_bound, (main, single), hermitian)
+    double, pairs = _pair_total(
+        zs.gammas, coeff, shift if pair_shift is None else pair_shift,
+        factor, log_bound, (main, single), hermitian)
     return _assemble(main, single, double, zs, pairs, envelope, hermitian)
 
 
@@ -502,25 +491,27 @@ def exponential_direct(series: ConvolutionSeries, y, N):
 
 
 def exponential_explicit(kind, y, zs):
-    """Zero expansion of sum S(n) e^(-n y); the double sum factors.
+    """Zero expansion of sum S(n) e^(-n y), the square of one factor.
 
-    Kernel K(w) = y^(-w), with no Gamma factor, so the main term is
-    a^2 / y = pi / (4 zeta(1/2)^2 y) for liouville and K is
-    multiplicative: double_sum is literally the square of the inner
-    sum of c(rho) Gamma(rho) y^(-rho) over rho and conj rho, no pair
-    enumeration happens and pair_terms stays 0.  moebius keeps the
-    squared sum alone.  Every term is real by construction.
+    The factor is pole + inner, with pole = a y^(-1/2) (0 for moebius)
+    and inner the sum of c(z) Gamma(z) y^(-z) over z = rho, conj rho, so
+    main_term = pole^2 = pi / (4 zeta(1/2)^2 y) for liouville,
+    single_sum = 2 pole inner, double_sum = inner^2 and pair_terms = 0.
     """
     _check_kind(kind)
     y = float(y)
     if y <= 0.0:
         raise ValueError("y must be positive")
-    ly = math.log(y)
-
-    def factor(w, log_kernel):
-        return np.exp(log_kernel - w * ly)
-
-    return _expand(kind, zs, None, factor, None, y ** (-0.5 - ENV_EPS) + 1.0)
+    rhos = zs.rhos
+    inner = blocked_sum(2.0 * (_coefficients(kind, zs) * np.exp(
+        specfun.log_gamma(rhos) - rhos * math.log(y))).real)
+    a = _pole_residue(kind)
+    main, single = 0.0, 0.0
+    if a is not None:
+        pole = a * y ** -0.5
+        main, single = pole * pole, 2.0 * pole * inner
+    return _assemble(main, single, inner * inner, zs, 0,
+                     y ** (-0.5 - ENV_EPS) + 1.0, hermitian=True)
 
 
 # ---------------------------------------------------------------------------

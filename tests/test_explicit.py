@@ -372,8 +372,11 @@ def test_exponential_formula_structure(zs1000, lio_series_10k):
     assert bd.pair_terms == 0          # the double sum is a factored square
     assert abs(direct - bd.total) < bd.envelope
     mu = explicit.exponential_explicit(sieve.KIND_MOEBIUS, y, zs1000)
-    assert mu.main_term == 0.0
     assert mu.double_sum >= 0.0
+    # the moebius inner sum is negative at this y, where 2 * 0.0 * inner
+    # would give -0.0: no pole means exact +0.0 terms
+    for term in (mu.main_term, mu.single_sum):
+        assert term == 0.0 and math.copysign(1.0, term) == 1.0
 
 
 # ---------------------------------------------------------------------------
