@@ -4,8 +4,9 @@
 Each tree enriches all 10^4 bundled ordinates (gamma up to about 9878),
 and the script prints, for zeta'(rho) and for zeta(2 rho), "identical"
 when the arrays match bit for bit and the largest relative move
-otherwise.  Each tree also runs the same 18 `verify` cases (every
+otherwise.  Each tree also runs the same 19 `verify` cases (every
 target at small sizes, plus `dfold --d 4`, `dirichlet --s 3`,
+`exponential` on its default y grid 0.1/0.05/0.02/0.01,
 `weighted --d 3` with zeros, `weighted` with zeros at the fractional
 eta*a = 48.1, where the boundary term and both kink families of the
 kernel are live, `identity` over six trials, which reach
@@ -59,6 +60,7 @@ CASES = {
     "dirichlet": ["dirichlet", Z, "--limit", "2000", "--s", "3,1"],
     "dirichlet-s3": ["dirichlet", Z, "--limit", "2000", "--s", "3"],
     "exponential": ["exponential", Z, "--limit", "4000", "--y", "0.1,0.01"],
+    "exponential-default": ["exponential", Z, "--limit", "4000"],
     "weighted-zeros": ["weighted", Z, "--limit", "2000",
                        "--weight", "0:2.5:40"],
     "weighted-zeros-d3": ["weighted", Z, "--limit", "2000", "--d", "3",

@@ -115,8 +115,8 @@ def _parse_samples(text):
         raise UsageError("sample count must be at least 1")
     if lo > hi:
         raise UsageError("sample range must satisfy lo <= hi")
-    if kind == "log" and lo <= 0.0:
-        raise UsageError("log sampling needs lo > 0")
+    if lo <= 0.0:
+        raise UsageError("sample points must be positive: need lo > 0")
     return (kind, count, lo, hi)
 
 
@@ -267,6 +267,8 @@ def _validate(cfg):
             raise UsageError(
                 f"exponential tails need limit*y >= 20; limit {cfg.limit} "
                 f"with y={min(ys)} falls short")
+    if target == "identity" and cfg.limit < 4:
+        raise UsageError("verify identity needs --limit of at least 4")
     if target == "weighted":
         if cfg.weight is None:
             raise UsageError("verify weighted needs --weight a:b:eta[:power]")

@@ -756,8 +756,8 @@ def weighted_average_rhs(wa: WeightedAverage):
     slope = (ks[1:][keep] - k0) / dx[keep]
     lefts = lefts[keep]
     rights = rights[keep]
-    # Gauss-Legendre per piece: K(eta w) is linear there, so the rule
-    # is exact for polynomial f'' up to degree 14
+    # 16-point Gauss-Legendre per piece, exact through degree 31: K(eta w)
+    # is linear there, so f'' of degree <= 30 (power <= 32) is exact
     mid = 0.5 * (lefts + rights)
     half = 0.5 * (rights - lefts)
     xn = mid[:, None] + half[:, None] * _GL_NODES[None, :]

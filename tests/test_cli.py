@@ -90,19 +90,44 @@ def test_subcommands_reject_flags_they_do_not_use(tmp_path, capsys):
                      "--output", str(tmp_path / "id.json")]) == 0
 
 
-@pytest.mark.parametrize("target", ["L", "cesaro"])
-def test_sample_range_meets_the_default_limit(tmp_path, capsys, target):
-    """Without --limit the samples are checked against the default limit
-    before any work: the zeros file named is never opened."""
+@pytest.mark.parametrize("target, samples, message", [
+    pytest.param("L", "log:5:10:20000", "sample range exceeds --limit",
+                 id="L"),
+    pytest.param("cesaro", "log:5:10:20000", "sample range exceeds --limit",
+                 id="cesaro"),
+    pytest.param("cesaro", "linear:3:0:800",
+                 "sample points must be positive: need lo > 0", id="linear"),
+])
+def test_sample_range_meets_the_default_limit(tmp_path, capsys, target,
+                                              samples, message):
+    """Without --limit the samples are checked against the default limit,
+    and against x > 0, before any work: the zeros file named is never
+    opened."""
     missing = str(tmp_path / "absent.bin")
     assert cli.main(["verify", target, "--zeros", missing,
-                     "--samples", "log:5:10:20000"]) == 2
-    assert "error: sample range exceeds --limit" in capsys.readouterr().err
+                     "--samples", samples]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("limit", ["2", "3"])
+def test_identity_needs_limit_4(tmp_path, capsys, limit):
+    """Below --limit 4 the drawn weights cannot fit eta*b >= 1 > eta*a, so
+    the limit is refused before any trial runs; from 4 on they fit."""
+    out = str(tmp_path / "id.csv")
+    assert cli.main(["verify", "identity", "--limit", limit,
+                     "--output", out]) == 2
+    assert ("error: verify identity needs --limit of at least 4"
+            in capsys.readouterr().err)
+    assert cli.main(["verify", "identity", "--limit", "4", "--trials", "6",
+                     "--output", out]) == 0
 
 
 def test_sample_and_value_parsers():
     assert cli._parse_samples("log:5:10:100") == ("log", 5, 10.0, 100.0)
-    assert cli._parse_samples("linear:3:0:9") == ("linear", 3, 0.0, 9.0)
+    assert cli._parse_samples("linear:3:1:9") == ("linear", 3, 1.0, 9.0)
+    for spec in ("linear:3:0:9", "linear:3:-5:9", "log:3:0:9"):
+        with pytest.raises(cli.UsageError):
+            cli._parse_samples(spec)
     assert cli._parse_complex("6") == 6.0 + 0j
     assert cli._parse_complex("6,2") == 6.0 + 2.0j
     assert cli._parse_weight("0:2.5:40") == (0.0, 2.5, 40.0, 2)
@@ -190,6 +215,36 @@ def test_zeros_enrich_and_reuse(tmp_path):
     assert cli.main(["verify", "L", "--limit", "500", "--zeros", str(cache),
                      "--samples", "linear:3:50:500",
                      "--output", str(report)]) == 0
+
+
+def test_zeros_enrich_writes_csv(tmp_path):
+    """An output name ending in .csv gets the CSV export, not a cache."""
+    ords = tmp_path / "ordinates.txt"
+    ords.write_text("".join(f"{g:.13f}\n"
+                            for g in zeros.bundled_ordinates(12)))
+    out = tmp_path / "zeros.csv"
+    assert cli.main(["zeros-enrich", "--zeros", str(ords), "--count", "10",
+                     "--output", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "index,gamma,zprime_re,zprime_im,z2_re,z2_im"
+    assert len(lines) == 11
+    assert not zeros.is_cache(out)
+    manifest = json.loads((tmp_path / "zeros.csv.manifest.json").read_text())
+    assert manifest["results"]["count"] == 10
+
+
+@pytest.mark.parametrize("target, rows, lo", [("cesaro", 40, 10.0),
+                                              ("dfold", 20, 20.0)])
+def test_default_samples(tmp_path, cache80, target, rows, lo):
+    """Without --samples a Cesaro target samples a log grid up to the
+    limit: 40 points for cesaro, 20 from limit/100 for dfold."""
+    report = tmp_path / "report.csv"
+    assert cli.main(["verify", target, "--zeros", cache80, "--limit", "2000",
+                     "--output", str(report)]) == 0
+    head, summary = _summary_block(report.read_text())
+    xs = [float(row.split(",")[0]) for row in head.splitlines()[1:]]
+    assert summary["rows"] == str(rows) and len(xs) == rows
+    assert (xs[0], xs[-1]) == (lo, 2000.0)
 
 
 @pytest.mark.parametrize("name", ["ords.npz", "z30.bin"])
@@ -301,6 +356,10 @@ _SWEEP = ["direct", "main_term", "single_sum", "double_sum", "total",
           "residual", "envelope", "truncation_T", "zeros_used", "pair_terms"]
 _SWEEP_SUMMARY = {"rows", "median_residual", "max_residual",
                   "envelope_exceedances", "max_relative_imag"}
+_DIRICHLET = ["re_s", "im_s", "direct_re", "direct_im", "main_re", "main_im",
+              "single_re", "single_im", "double_re", "double_im", "total_re",
+              "total_im", "residual", "envelope", "truncation_T",
+              "zeros_used", "pair_terms"]
 _WEIGHTED = ["a", "b", "eta", "power", "d", "direct", "identity_rhs",
              "identity_rel_residual"]
 
@@ -316,11 +375,10 @@ _WEIGHTED = ["a", "b", "eta", "power", "d", "direct", "identity_rhs",
      ["x"] + _SWEEP, _SWEEP_SUMMARY),
     (["dfold", Z, "--limit", "2000", "--samples", "log:3:200:2000"],
      ["x"] + _SWEEP, _SWEEP_SUMMARY),
-    (["dirichlet", Z, "--limit", "2000", "--s", "3,1"],
-     ["re_s", "im_s", "direct_re", "direct_im", "main_re", "main_im",
-      "single_re", "single_im", "double_re", "double_im", "total_re",
-      "total_im", "residual", "envelope", "truncation_T", "zeros_used",
-      "pair_terms"],
+    (["dirichlet", Z, "--limit", "2000", "--s", "3,1"], _DIRICHLET,
+     {"rows", "median_residual", "max_residual", "envelope_exceedances"}),
+    (["dirichlet", Z, "--limit", "2000", "--s", "3"],
+     _DIRICHLET,
      {"rows", "median_residual", "max_residual", "envelope_exceedances"}),
     (["exponential", Z, "--limit", "4000", "--y", "0.1,0.01"],
      ["y", "direct", "main_term", "single_sum", "double_sum", "total",
@@ -338,8 +396,8 @@ _WEIGHTED = ["a", "b", "eta", "power", "d", "direct", "identity_rhs",
      ["trial", "kind", "d", "a", "b", "eta", "power", "direct", "rhs",
       "residual", "rel_residual"],
      {"rows", "median_rel_residual", "max_rel_residual", "identity_ok"}),
-], ids=["L", "M", "cesaro", "cesaro-mu", "dfold", "dirichlet", "exponential",
-        "weighted-zeros", "weighted", "identity"])
+], ids=["L", "M", "cesaro", "cesaro-mu", "dfold", "dirichlet", "dirichlet-s3",
+        "exponential", "weighted-zeros", "weighted", "identity"])
 def test_verify_report_schema(tmp_path, cache80, argv, columns, summary):
     """Each target's CSV columns, in order, and its summary keys."""
     argv = [a for arg in argv for a in (["--zeros", cache80] if arg is Z
