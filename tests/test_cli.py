@@ -109,15 +109,15 @@ def test_sample_range_meets_the_default_limit(tmp_path, capsys, target,
     assert f"error: {message}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("limit", ["2", "3"])
-def test_identity_needs_limit_4(tmp_path, capsys, limit):
+def test_identity_needs_limit_4(tmp_path, capsys):
     """Below --limit 4 the drawn weights cannot fit eta*b >= 1 > eta*a, so
     the limit is refused before any trial runs; from 4 on they fit."""
     out = str(tmp_path / "id.csv")
-    assert cli.main(["verify", "identity", "--limit", limit,
-                     "--output", out]) == 2
-    assert ("error: verify identity needs --limit of at least 4"
-            in capsys.readouterr().err)
+    for limit in ("2", "3"):
+        assert cli.main(["verify", "identity", "--limit", limit,
+                         "--output", out]) == 2
+        assert ("error: verify identity needs --limit of at least 4"
+                in capsys.readouterr().err)
     assert cli.main(["verify", "identity", "--limit", "4", "--trials", "6",
                      "--output", out]) == 0
 
