@@ -34,6 +34,7 @@ default; the manifest lists it with its file value under
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -43,9 +44,8 @@ import time
 from dataclasses import dataclass, asdict, field
 
 import numpy as np
-import scipy
 
-from . import convolve, explicit, sieve, specfun, zeros
+from . import __version__, convolve, explicit, sieve, specfun, zeros
 
 __all__ = ["RunConfig", "UsageError", "main"]
 
@@ -381,8 +381,7 @@ def _write_manifest(cfg, report_path, inputs, results=None):
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "liouconv": _package_version(),
+            "liouconv": __version__,
         },
         "inputs": dict(sorted(inputs.items())),
     }
@@ -395,14 +394,6 @@ def _write_manifest(cfg, report_path, inputs, results=None):
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
     return path
-
-
-def _package_version():
-    try:
-        from importlib.metadata import version
-        return version("liouconv")
-    except Exception:
-        return "unknown"
 
 
 def _check_realness(bd, failures, where):
@@ -460,10 +451,14 @@ def _run_cesaro(cfg, zset):
             else sieve.KIND_LIOUVILLE)
     d = (cfg.d or 3) if cfg.target == "dfold" else 2
     table = sieve.build_sieve(kind, cfg.limit)
-    series = convolve.convolve_fft(table, d, cfg.limit)
+    if cfg.target == "dfold":
+        direct = functools.partial(
+            convolve.cesaro_sum, convolve.convolve_fft(table, d, cfg.limit))
+    else:
+        direct = functools.partial(convolve.cesaro_prefix, table)
     grid = _sample_grid(cfg.samples or _default_samples(cfg.target, cfg.limit))
     return _sweep(
-        "x", grid, lambda x: convolve.cesaro_sum(series, x),
+        "x", grid, direct,
         lambda x: explicit.explicit_cesaro(kind, x, zset, d=d),
         _SWEEP_COLUMNS)
 
@@ -605,7 +600,7 @@ def _run_identity(cfg, zset):
             col.append(row[key])
     summary = {
         "rows": trials,
-        "median_rel_residual": float(np.median(cols["rel_residual"])),
+        "median_rel_residual": _median(cols["rel_residual"]),
         "max_rel_residual": float(np.max(cols["rel_residual"])),
         "identity_ok": not failures,
     }
@@ -628,12 +623,22 @@ _VERIFY = {
 }
 
 
+def _median(values):
+    """np.median's value, without the numpy.ma import that np.median
+    makes on its first call (about 15 ms of every verify run)."""
+    s = np.sort(np.asarray(values, dtype=np.float64))
+    half = s.size // 2
+    if np.isnan(s[-1]):
+        return math.nan
+    return float(s[half] if s.size % 2 else (s[half - 1] + s[half]) / 2.0)
+
+
 def _residual_summary(cols, worst_imag):
     arr = np.asarray(cols["residual"], dtype=np.float64)
     env = np.asarray(cols["envelope"], dtype=np.float64)
     return {
         "rows": int(arr.size),
-        "median_residual": float(np.median(arr)),
+        "median_residual": _median(arr),
         "max_residual": float(np.max(arr)),
         "envelope_exceedances": int(np.sum(arr > env)),
         "max_relative_imag": worst_imag,

@@ -5,7 +5,8 @@ where v is the Liouville or Moebius function.  The exact integers come
 from d-1 certified FFT folds (``convolve_fft``), each rounded, certified
 and stored in one pass per block; ``convolve_naive`` is the time-domain
 oracle.  ``cesaro_sum`` evaluates the Cesaro sum
-(1/(d-1)!) sum S_d(n) (x-n)^{d-1}.
+(1/(d-1)!) sum S_d(n) (x-n)^{d-1}; ``cesaro_prefix`` gives the d=2 one
+from the sieve's prefix sums alone, with no fold.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ __all__ = [
     "convolve_naive",
     "convolve_fft",
     "cesaro_sum",
+    "cesaro_prefix",
     "export_csv",
 ]
 
@@ -203,18 +205,47 @@ def cesaro_sum(series: ConvolutionSeries, x) -> float:
     an exact integral at 1e-9 scale, so ordinary dot-product rounding is
     not acceptable.
     """
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise ValueError("cesaro_sum: x must be finite and nonnegative")
-    if x > series.limit:
-        raise ValueError(
-            f"cesaro_sum: x = {x} exceeds the series limit {series.limit}")
+    x = _check_x(x, series.limit, "cesaro_sum")
     top = int(math.floor(x))
     if top < series.d:
         return 0.0
     n = np.arange(series.d, top + 1, dtype=np.float64)
     terms = series.values[series.d:top + 1] * (x - n) ** (series.d - 1)
     return math.fsum(terms) / math.factorial(series.d - 1)
+
+
+def _check_x(x, limit, name):
+    x = float(x)
+    if not math.isfinite(x) or x < 0.0:
+        raise ValueError(f"{name}: x must be finite and nonnegative")
+    if x > limit:
+        raise ValueError(
+            f"{name}: x = {x} exceeds the series limit {limit}")
+    return x
+
+
+def cesaro_prefix(table: SieveTable, x) -> float:
+    """The d=2 Cesaro sum C(x) = sum_{n<=x} S_2(n) (x-n), from the prefix
+    sums L(k) = table.prefix[k] alone.
+
+    D(Z) = sum_{k=0..Z} L(k) L(Z-k) = sum_{n<=Z} S_2(n) (Z+1-n) is one
+    int64 dot product of the prefix array with its reverse, so with
+    x = X + f, 0 <= f < 1, and D(-1) = 0,
+    C(x) = D(X-1) + f (D(X) - D(X-1)).  Every partial sum of either dot
+    is at most (X+1) P^2 in size, P = max |L(k)| over k <= X; that bound
+    is checked against 2^63 first (for lambda it is 1.6e12 at X = 1e6
+    and 1.2e14 at X = 1e7).  Both integers are exact, and C(x) is
+    rounded twice.
+    """
+    x = _check_x(x, table.limit, "cesaro_prefix")
+    top = int(math.floor(x))
+    prefix = table.prefix[:top + 1]
+    peak = int(np.abs(prefix).max())
+    if (top + 1) * peak * peak >= 1 << 63:
+        raise OverflowError(f"cesaro_prefix: D({top}) may overflow int64")
+    d1 = int(np.dot(prefix, prefix[::-1]))
+    d0 = int(np.dot(prefix[:-1], prefix[-2::-1]))   # 0 when X = 0
+    return d0 + (x - top) * (d1 - d0)
 
 
 def export_csv(series: ConvolutionSeries, path) -> None:

@@ -90,7 +90,9 @@ ENV_EPS = 0.1
 # Hard cap on the unordered pair count of a double sum; past this the
 # index and value buffers stop being desk-scale objects.
 _PAIR_CAP = 1 << 23
-_CHUNK = 1 << 18
+# Pairs per chunk: each chunk temporary is 1 MB of complex128.  The pair
+# total is one exactly rounded sum, so the chunk size moves no bit.
+_CHUNK = 1 << 16
 
 
 # ---------------------------------------------------------------------------

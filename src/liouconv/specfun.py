@@ -3,7 +3,11 @@
 Everything here works in the log domain where Gamma factors are involved:
 at ordinates gamma ~ 50 the direct value |Gamma(1/2 + i*gamma)| is already
 below 1e-35, so ratios must be assembled from log_gamma and exponentiated
-once at the end.
+once at the end.  log_gamma is the Stirling series with a fixed number
+of terms; points near the origin (|z| < 15 and Re z < 8) first move up
+to Re z >= 8 by the recurrence.  Both sets of constants,
+the Stirling coefficients and the Euler-Maclaurin ones, are exact
+Bernoulli numbers rounded once, so NumPy is the only runtime dependency.
 
 The zeta evaluator is plain Euler-Maclaurin with an adaptive main-sum
 cutoff N, rounded up to 8 steps per octave.  One pass gives up to three
@@ -28,10 +32,9 @@ import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
-from scipy.special import loggamma as _scipy_loggamma
-from scipy.special import zeta as _real_zeta
 
 __all__ = [
     "log_gamma",
@@ -49,10 +52,36 @@ __all__ = [
 # J = 25 leaves headroom under the 1e-10 accuracy target.
 _EM_CORRECTION_TERMS = 25
 
-# B_{2j}/(2j)! = (-1)^{j+1} * 2 * zeta(2j) / (2 pi)^{2j}, j = 1..J.
-_j = np.arange(1, _EM_CORRECTION_TERMS + 1)
-_EM_BERN = (-1.0) ** (_j + 1) * 2.0 * _real_zeta(2.0 * _j) / (2.0 * np.pi) ** (2 * _j)
-del _j
+
+def _bernoulli(count: int) -> list:
+    """The exact Bernoulli numbers B_2, B_4, ..., B_2count, from
+    sum_{k=1..m} C(2m+1, 2k) B_2k = (2m-1)/2, m = 1..count."""
+    b = []
+    for m in range(1, count + 1):
+        rest = sum(math.comb(2 * m + 1, 2 * k) * b[k - 1] for k in range(1, m))
+        b.append((Fraction(2 * m - 1, 2) - rest) / (2 * m + 1))
+    return b
+
+
+_B = _bernoulli(_EM_CORRECTION_TERMS)
+# B_{2j}/(2j)!, j = 1..J, each rounded once
+_EM_BERN = np.array([float(b / math.factorial(2 * j))
+                     for j, b in enumerate(_B, 1)])
+
+# Stirling series log Gamma(z) = (z - 1/2) log z - z + log(2 pi)/2
+# + sum_k B_2k / (2k (2k-1) z^(2k-1)), summed for |z| >= _STIRLING_RADIUS
+# or Re z >= _STIRLING_RE; any other point first moves up to Re z >= 8
+# by recurrence.  The remainder after _STIRLING_TERMS terms is at most
+# the next term times sec(arg z / 2)^22: for |z| >= 15 that is below
+# 6192 / (462 * 15^21) * 2^11 < 6e-21, and for Re z >= 8, |Im z| < 15
+# (arg z < 62 degrees) below 6192 / (462 * 8^21) * 1.17^22 < 5e-17.
+_STIRLING_TERMS = 10
+_STIRLING_RADIUS = 15.0
+_STIRLING_RE = 8.0
+_STIRLING = [float(b / (2 * k * (2 * k - 1)))
+             for k, b in enumerate(_B[:_STIRLING_TERMS], 1)]
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+del _B
 
 # Entries of one chunk's n^-s table (cutoff x points): 96k complex128 is
 # 1.5 MB, plus as much again for its point-major copy, near one core's
@@ -75,14 +104,38 @@ def _unwrap(arr: np.ndarray, scalar: bool):
     return complex(arr[()]) if scalar else arr
 
 
+def _log(z, r):
+    """log z from r = |z|, as log r + i arg z."""
+    out = np.empty_like(z)
+    out.real = np.log(r)
+    out.imag = np.arctan2(z.imag, z.real)
+    return out
+
+
+def _stirling(z, r):
+    """The Stirling series at points z with |z| = r, each with r >=
+    _STIRLING_RADIUS or Re z >= _STIRLING_RE.
+
+    Only out-of-place complex products: NumPy's in-place product of
+    one-element arrays rounds differently from its array loop."""
+    w = 1.0 / z
+    w2 = w * w
+    series = _STIRLING[-1]
+    for c in _STIRLING[-2::-1]:
+        series = series * w2 + c
+    return (z - 0.5) * _log(z, r) - z + (series * w + _HALF_LOG_2PI)
+
+
 def log_gamma(z):
-    """Principal-branch log Gamma for Re z > 0.
+    """Principal-branch log Gamma for Re z > 0: the branch that is real
+    on the positive axis and continuous in the right half-plane.
 
     Args:
         z: complex scalar or array, all components finite, Re z > 0.
 
     Returns:
-        log Gamma(z), same shape as the input.
+        log Gamma(z), same shape as the input.  Every output depends
+        on its own input point alone.
 
     Raises:
         ValueError: non-finite input or Re z <= 0.
@@ -90,7 +143,23 @@ def log_gamma(z):
     arr, scalar = _as_complex_array(z, "log_gamma")
     if np.any(arr.real <= 0.0):
         raise ValueError("log_gamma: Re z <= 0 is outside the supported domain")
-    return _unwrap(_scipy_loggamma(arr), scalar)
+    flat = arr.ravel()
+    r = np.abs(flat)
+    low = (r < _STIRLING_RADIUS) & (flat.real < _STIRLING_RE)
+    out = np.empty_like(flat)
+    out[~low] = _stirling(flat[~low], r[~low])
+    # log Gamma(z) = log Gamma(z + m) - sum_{j<m} log(z + j) for the
+    # least m with Re(z + m) >= _STIRLING_RE; each z + j has Re > 0, so
+    # the principal logs add up along the branch
+    zs = flat[low]
+    m = np.ceil(_STIRLING_RE - zs.real)
+    up = zs + m
+    acc = _stirling(up, np.abs(up))
+    for j in range(int(m.max(initial=0))):
+        step = zs + j
+        acc = acc - np.where(j < m, _log(step, np.abs(step)), 0.0)
+    out[low] = acc
+    return _unwrap(out.reshape(arr.shape), scalar)
 
 
 def _em_cutoffs(t) -> np.ndarray:

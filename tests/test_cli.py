@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -171,8 +174,35 @@ def test_manifest_contents(tmp_path, cache80):
     assert manifest["inputs"][cache80] == want_input
     want_report = hashlib.sha256(report.read_bytes()).hexdigest()
     assert manifest["report"]["sha256"] == want_report
-    assert "numpy" in manifest["versions"]
+    assert sorted(manifest["versions"]) == ["liouconv", "numpy", "python"]
     assert manifest["ignored_config"] == {}
+
+
+def test_median_matches_numpy(rng):
+    for size in range(1, 12):
+        vals = rng.normal(size=size) * 10.0 ** rng.integers(-6, 6, size)
+        assert cli._median(vals) == float(np.median(vals))
+    assert math.isnan(cli._median([1.0, math.nan, 2.0]))
+
+
+def test_cli_runs_without_scipy(tmp_path, cli_env):
+    # a fresh interpreter enriches zeros and runs a Cesaro sweep, and
+    # nothing on that path imports scipy
+    ords = zeros.bundled_ordinates(20)
+    (tmp_path / "ordinates.txt").write_text(
+        "".join(f"{k + 1} {g:.13f}\n" for k, g in enumerate(ords)))
+    script = (
+        "import sys\n"
+        "from liouconv import cli\n"
+        "assert cli.main(['zeros-enrich', '--zeros', 'ordinates.txt',"
+        " '--count', '20', '--output', 'z.bin']) == 0\n"
+        "assert cli.main(['verify', 'cesaro', '--limit', '3000',"
+        " '--zeros', 'z.bin', '--samples', 'log:4:100:3000',"
+        " '--output', 'c.csv']) == 0\n"
+        "assert 'scipy' not in sys.modules, sorted(sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env=cli_env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def test_report_bytes_worker_invariant(tmp_path, cache80):

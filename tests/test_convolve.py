@@ -1,6 +1,7 @@
 """Convolution series: brute-force oracles, method agreement, exact sums."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -154,6 +155,29 @@ def test_cesaro_sum_edges():
         convolve.cesaro_sum(series, 101.0)
     with pytest.raises(ValueError):
         convolve.cesaro_sum(series, -1.0)
+
+
+@pytest.mark.parametrize("kind", [sieve.KIND_LIOUVILLE, sieve.KIND_MOEBIUS])
+def test_cesaro_prefix_matches_exact_sum(rng, kind):
+    limit = 600
+    table = sieve.build_sieve(kind, limit)
+    s2 = _brute_series(table.values, 2, limit)
+    xs = [0.0, 1.0, 1.5, 1.999, 2.0, 3.0, 17.0, 250.0, limit - 0.5,
+          float(limit)] + rng.uniform(2.0, limit, 12).tolist()
+    for x in xs:
+        terms = [(Fraction(x) - n) * s2[n]
+                 for n in range(2, int(math.floor(x)) + 1)]
+        exact = sum(terms, Fraction(0))
+        mass = float(sum(abs(t) for t in terms))
+        got = convolve.cesaro_prefix(table, x)
+        if x == math.floor(x):
+            assert got == exact      # an integer below 2^53, unrounded
+        else:
+            # two roundings, each within half an ulp of the term mass
+            assert abs(Fraction(got) - exact) <= 2.0 ** -52 * mass
+    for bad in (-1.0, limit + 1.0, float("nan")):
+        with pytest.raises(ValueError):
+            convolve.cesaro_prefix(table, bad)
 
 
 def test_laplace_identity_small(rng):

@@ -20,6 +20,60 @@ def test_log_gamma_against_mpmath(rng):
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+def _near(got, want, tol=5e-14):
+    return abs(got - want) <= tol * max(1.0, abs(want))
+
+
+def test_log_gamma_across_the_shift_boundary(rng):
+    # the series alone for |z| >= 15 or Re z >= 8, shift and series for
+    # the rest, on both sides of both edges, and the imaginary axis
+    # approached from the right, where arg z nears pi/2
+    radius, edge = specfun._STIRLING_RADIUS, specfun._STIRLING_RE
+    pts = [radius * (1.0 + e) * complex(math.cos(t), math.sin(t))
+           for e in (-1e-9, 1e-9) for t in np.linspace(-1.57, 1.57, 9)]
+    pts += [complex(edge * (1.0 + e), y)
+            for e in (-1e-9, 1e-9) for y in np.linspace(-12.0, 12.0, 7)]
+    pts += [complex(10.0 ** rng.uniform(-12.0, -1.0), rng.uniform(-30.0, 30.0))
+            for _ in range(20)]
+    pts += [complex(rng.uniform(1e-6, 40.0), rng.uniform(-40.0, 40.0))
+            for _ in range(40)]
+    for z in pts:
+        want = complex(mpmath.loggamma(mpmath.mpc(z.real, z.imag)))
+        assert _near(specfun.log_gamma(z), want), z
+
+
+def test_log_gamma_at_large_ordinates(rng):
+    for _ in range(20):
+        y = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(2.0, 4.3))
+        for x in (1e-9, 0.5, 1.0, 3.5):
+            want = complex(mpmath.loggamma(mpmath.mpc(x, y)))
+            assert _near(specfun.log_gamma(complex(x, y)), want, 1e-15)
+
+
+def test_log_gamma_on_the_real_axis():
+    for x in np.concatenate([np.linspace(1e-3, 40.0, 801), [1.0, 2.0, 1e-9]]):
+        got = specfun.log_gamma(float(x))
+        assert got.imag == 0.0
+        assert _near(got.real, math.lgamma(x)), x
+
+
+def test_log_gamma_batch_matches_scalar(rng):
+    z = np.concatenate([
+        rng.uniform(1e-6, 30.0, 300) + 1j * rng.uniform(-40.0, 40.0, 300),
+        1.0 + 1j * rng.uniform(-2e4, 2e4, 100)])
+    batch = specfun.log_gamma(z)
+    assert all(specfun.log_gamma(complex(p)) == batch[k]
+               for k, p in enumerate(z))
+    again = specfun.log_gamma(z[::-1].reshape(20, 20))
+    assert again.ravel()[::-1].tobytes() == batch.tobytes()
+
+
+def test_em_constants_are_bernoulli_numbers():
+    # B_2j/(2j)! to 30 digits, rounded once: the same double
+    for j, got in enumerate(specfun._EM_BERN, 1):
+        assert got == float(mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j))
+
+
 def test_log_gamma_recurrence():
     for z in (0.5 + 14.134725141734695j, 3.0 + 100.0j, 1.5 - 7.0j):
         lhs = specfun.log_gamma(z + 1.0) - specfun.log_gamma(z)
@@ -35,7 +89,7 @@ def test_log_gamma_rejects_left_half_plane():
 
 
 def test_gamma_abs_half_line_matches_log_gamma():
-    # the closed form pi/cosh(pi y) against the scipy log-gamma route;
+    # the closed form pi/cosh(pi y) against the Stirling series route;
     # two independent evaluations of the same magnitude
     for y in (0.0, 1.0, 14.134725141734695, 50.0, 200.0):
         closed = specfun.log_gamma_abs_half_line(y)
