@@ -90,9 +90,11 @@ ENV_EPS = 0.1
 # Hard cap on the unordered pair count of a double sum; past this the
 # index and value buffers stop being desk-scale objects.
 _PAIR_CAP = 1 << 23
-# Pairs per chunk: each chunk temporary is 1 MB of complex128.  The pair
+# Pairs per chunk: each chunk temporary is 4 MB of complex128.  The pair
 # total is one exactly rounded sum, so the chunk size moves no bit.
-_CHUNK = 1 << 16
+# 2^16 is about 20% faster (the temporaries stay in cache) and lowers
+# the peak by about 45 MB; ROADMAP "Fix first" 1 says why it waits.
+_CHUNK = 1 << 18
 
 
 # ---------------------------------------------------------------------------
