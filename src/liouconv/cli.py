@@ -716,7 +716,8 @@ def _cmd_zeros_enrich(cfg):
     manifest = _write_manifest(
         cfg, out, inputs,
         results={"count": len(zset.gammas), "t_max": zset.t_max,
-                 "threads": specfun.zeta_threads()})
+                 "threads": specfun.zeta_threads(), "zeta_table_entries":
+                 specfun.zeta_table_entries(zset.gammas)})
     print(f"zeros-enrich: {len(zset.gammas)} zeros, t_max "
           f"{zset.t_max:.6f} -> {out} (+ {manifest})")
     return 0

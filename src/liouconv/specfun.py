@@ -5,25 +5,29 @@ at ordinates gamma ~ 50 the direct value |Gamma(1/2 + i*gamma)| is already
 below 1e-35, so ratios must be assembled from log_gamma and exponentiated
 once at the end.  log_gamma is the Stirling series with a fixed number
 of terms; points near the origin (|z| < 15 and Re z < 8) first move up
-to Re z >= 8 by the recurrence.  Both sets of constants,
-the Stirling coefficients and the Euler-Maclaurin ones, are exact
-Bernoulli numbers rounded once, so NumPy is the only runtime dependency.
+to Re z >= 8 by the recurrence.  Both sets of constants, the Stirling
+coefficients and the Euler-Maclaurin ones, are exact Bernoulli numbers
+from the integer tangent numbers, rounded once, so NumPy is the only
+runtime dependency.
 
-The zeta evaluator is plain Euler-Maclaurin with an adaptive main-sum
-cutoff N, rounded up to 8 steps per octave.  One pass gives up to three
-sums from one table of n^-s per chunk of points: zeta(s) and zeta'(s)
+The zeta evaluator is plain Euler-Maclaurin with J = 78 corrections and
+the least main-sum length N with (|t| + 2J + 10)/(2 pi N) <= 0.8,
+rounded up to 8 steps per octave; ratio 1/2 and J = 25 need an N 1.6
+times longer for the same remainder bound.  One pass gives up to three
+values from one table of n^-s per chunk of points: zeta(s) and zeta'(s)
 over n < N, and zeta(2s) over the squared table, n^-2s = (n^-s)^2, up to
 the cutoff of a zeta call at 2s, which sets the table length.  The
 exp(-s log p) runs only for the primes p, and each composite n is
 p^-s (n/p)^-s from two rows already there, p its least prime factor.
-Each chunk's table is sized for one core's cache, and the chunks run on
-a thread pool with one worker per usable core (NumPy releases the GIL in
-the exp, the row gathers and products and the row sums).  Each sum is one
-pairwise sum over the start of a point's own row, so every output bit is
-independent of the chunk size, the thread count, the table length and
-the other points in the batch.  That is accurate and simple for |Im s| up
-to a few times 1e4, which is all the desk-scale experiments need; no
-Riemann-Siegel here.
+Each chunk's table is sized for one core's cache, and the chunks, tail
+and corrections included, run on a thread pool with one worker per
+usable core (NumPy releases the GIL in the exp, the row gathers and
+products and the row sums).  Each sum is one pairwise sum over the start
+of a point's own row, so every output bit is independent of the chunk
+size, the thread count, the table length and the other points in the
+batch; the 10^4 bundled zeros take about 0.4 s on 2 cores.  That is
+accurate and simple for |Im s| up to a few times 1e4, which is all the
+desk-scale experiments need; no Riemann-Siegel here.
 """
 
 from __future__ import annotations
@@ -41,26 +45,32 @@ __all__ = [
     "zeta",
     "zeta_pair",
     "zeta_triple",
+    "zeta_table_entries",
     "zeta_half",
     "zeta_threads",
     "log_gamma_abs_half_line",
     "log_gamma_abs_lower_bound",
 ]
 
-# Correction depth for Euler-Maclaurin.  With the main-sum cutoff chosen so
-# that (|t| + 2J)/(2 pi N) <= 1/2, the J-th correction term is below 2^-2J;
-# J = 25 leaves headroom under the 1e-10 accuracy target.
-_EM_CORRECTION_TERMS = 25
+# Correction depth for Euler-Maclaurin.  With N chosen so that r = (|t| +
+# 2J + 10)/(2 pi N) <= 0.8, the remainder after J terms is at most
+# 2 N^(1-sigma) r^(2J+2)/(sigma+2J+1) (Edwards 1974, section 6.4).  J = 78
+# is the least J at which that is at most the bound of J = 25 at r = 1/2,
+# 6.2e-18 against 8.6e-18 times N^(1-sigma), with a table 37% shorter.
+_EM_CORRECTION_TERMS = 78
+_EM_RATIO = 0.8
 
 
 def _bernoulli(count: int) -> list:
-    """The exact Bernoulli numbers B_2, B_4, ..., B_2count, from
-    sum_{k=1..m} C(2m+1, 2k) B_2k = (2m-1)/2, m = 1..count."""
-    b = []
-    for m in range(1, count + 1):
-        rest = sum(math.comb(2 * m + 1, 2 * k) * b[k - 1] for k in range(1, m))
-        b.append((Fraction(2 * m - 1, 2) - rest) / (2 * m + 1))
-    return b
+    """The exact Bernoulli numbers B_2, B_4, ..., B_2count, from the
+    integer tangent numbers T_k (Brent and Harvey 2011):
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))."""
+    t = [math.factorial(k) for k in range(count)]
+    for k in range(1, count):
+        for j in range(k, count):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return [Fraction((-1) ** (k - 1) * 2 * k * tk, 4 ** k * (4 ** k - 1))
+            for k, tk in enumerate(t, 1)]
 
 
 _B = _bernoulli(_EM_CORRECTION_TERMS)
@@ -83,11 +93,12 @@ _STIRLING = [float(b / (2 * k * (2 * k - 1)))
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 del _B
 
-# Entries of one chunk's n^-s table (cutoff x points): 96k complex128 is
-# 1.5 MB, plus as much again for its point-major copy, near one core's
-# L2.  On two cores 32k and 64k entries lost to per-chunk overhead and
-# 96k-128k tied.  All threads together stay within _TABLE_ENTRIES, so
-# peak memory does not grow with the core count.
+# Entries of one chunk's n^-s table (cutoff x points, or 2J x points for
+# the correction rows where N < 2J): 96k complex128 is 1.5 MB, plus as
+# much again for its point-major copy, near one core's L2.  On two cores
+# 32k and 64k entries lost to per-chunk overhead and 96k-128k tied.  All
+# threads together stay within _TABLE_ENTRIES, so peak memory does not
+# grow with the core count.
 _CHUNK_ENTRIES = 96_000
 _TABLE_ENTRIES = 250_000
 
@@ -163,12 +174,12 @@ def log_gamma(z):
 
 
 def _em_cutoffs(t) -> np.ndarray:
-    """Main-sum lengths N for the ordinates t: the least N >= 30 with
-    (|t| + 2J + 10)/(2 pi N) <= 1/2, rounded up to a multiple of
+    """Main-sum lengths N for the ordinates t: the least N with
+    (|t| + 2J + 10)/(2 pi N) <= _EM_RATIO, rounded up to a multiple of
     2^(floor(log2 N) - 3), 8 steps per octave, so that mixed batches
     share few lengths.  Each N is a function of its own t alone."""
-    need = np.ceil((np.abs(t) + 2.0 * _EM_CORRECTION_TERMS + 10.0) / math.pi)
-    need = np.maximum(need, 30).astype(np.int64)
+    need = np.ceil((np.abs(t) + 2.0 * _EM_CORRECTION_TERMS + 10.0)
+                   / (2.0 * math.pi * _EM_RATIO)).astype(np.int64)
     step = np.left_shift(1, np.maximum(np.frexp(need)[1] - 4, 0))
     return -(-need // step) * step
 
@@ -211,10 +222,10 @@ def zeta_threads() -> int:
         return os.cpu_count() or 1
 
 
-def _power_sums(s, cut, cut2, plan, total, dtotal, total2) -> None:
-    """For the points s of one chunk, from one table of n^-s: sum n^-s and
-    -sum n^-s log n over n < cut into total and dtotal, then, unless total2
-    is None, sum n^-2s over n < cut2 into it from the squared table."""
+def _em_chunk(s, cut, cut2, plan, out) -> None:
+    """zeta(s) and zeta'(s) into out[0] and out[1] for the points s of
+    one chunk, which share the cutoff cut, and zeta(2s) with cutoff cut2
+    into out[2] if out has it, all from one table of n^-s."""
     primes, layers, logn = plan
     # n-major, so each layer fills whole contiguous rows at once
     table = np.empty((logn.size + 1, s.size), dtype=np.complex128)
@@ -227,21 +238,20 @@ def _power_sums(s, cut, cut2, plan, total, dtotal, total2) -> None:
     powers = np.ascontiguousarray(table[1:].T)
     del table
     head = powers[:, :cut - 1]
-    total[:] = head.sum(axis=1)
-    dtotal[:] = -(head * logn[:cut - 1]).sum(axis=1)
-    if total2 is not None:
+    out[0][:], out[1][:] = _em_finish(s, cut, head.sum(axis=1),
+                                      -(head * logn[:cut - 1]).sum(axis=1))
+    if len(out) > 2:
         powers *= powers
-        total2[:] = powers[:, :cut2 - 1].sum(axis=1)
+        out[2][:] = _em_finish(2.0 * s, cut2,
+                               powers[:, :cut2 - 1].sum(axis=1))[0]
 
 
 def _em_finish(s, cut, total, dtotal=None):
     """Euler-Maclaurin tail and J corrections for a flat array of s with
-    per-point cutoffs N: [zeta(s)] from the main sums over n < N in
-    total, plus zeta'(s) when dtotal holds the derivative sums."""
-    big_n = cut.astype(np.float64)
-    # libm's log of each distinct N (np.log differs in the last bit for some)
-    lengths, at = np.unique(cut, return_inverse=True)
-    lg = np.array([math.log(n) for n in lengths.tolist()])[at]
+    the cutoff N = cut: [zeta(s)] from the main sums over n < N in total,
+    plus zeta'(s) when dtotal holds the derivative sums."""
+    big_n = float(cut)
+    lg = math.log(cut)
     n_pow = np.exp(-s * lg)          # N^-s
     sm1 = s - 1.0
     total = total + big_n * n_pow / sm1 + 0.5 * n_pow
@@ -249,19 +259,21 @@ def _em_finish(s, cut, total, dtotal=None):
         dtotal = dtotal - big_n * n_pow * (lg / sm1 + 1.0 / (sm1 * sm1))
         dtotal = dtotal - 0.5 * lg * n_pow
 
-    # Correction terms, built by recurrence so no intermediate factor can
-    # overflow: term_j = term_{j-1} * (b_j/b_{j-1}) * (s+2j-3)(s+2j-2) / N^2.
-    term = _EM_BERN[0] * big_n * n_pow / (big_n * big_n) * s
-    recip = 1.0 / s                  # sum over the Pochhammer factors
-    inv_n2 = 1.0 / (big_n * big_n)
-    for j in range(1, _EM_CORRECTION_TERMS + 1):
-        if j > 1:
-            f1, f2 = s + (2 * j - 3), s + (2 * j - 2)
-            term = term * ((_EM_BERN[j - 1] / _EM_BERN[j - 2]) * inv_n2) * f1 * f2
-            recip = recip + 1.0 / f1 + 1.0 / f2
-        total = total + term
-        if dtotal is not None:
-            dtotal = dtotal + term * (recip - lg)
+    # Corrections j = 1..J, one row per point, by a running product so no
+    # factor can overflow: term_1 = b_1 s N^(-s-1), term_j = term_{j-1}
+    # (b_j/b_{j-1}) (s+2j-3)(s+2j-2)/N^2.  Each row is one sequential
+    # product and one pairwise sum: its bits depend on its own point.
+    f = s[:, None] + np.arange(2 * _EM_CORRECTION_TERMS - 1)  # s + k
+    steps = np.empty((s.size, _EM_CORRECTION_TERMS), dtype=np.complex128)
+    steps[:, 0] = _EM_BERN[0] * n_pow / big_n * s
+    steps[:, 1:] = (_EM_BERN[1:] / _EM_BERN[:-1] / (big_n * big_n)
+                    * f[:, 1::2] * f[:, 2::2])
+    terms = np.multiply.accumulate(steps, axis=1)
+    total = total + terms.sum(axis=1)
+    if dtotal is not None:
+        # d/ds log of s (s+1) ... (s+2j-2) N^(-s-2j+1)
+        recip = np.add.accumulate(1.0 / f, axis=1)[:, ::2]
+        dtotal = dtotal + (terms * (recip - lg)).sum(axis=1)
     return [total] if dtotal is None else [total, dtotal]
 
 
@@ -286,44 +298,40 @@ def _em_zeta(s, doubled=False) -> list:
         return_inverse=True, return_counts=True)
     order = np.argsort(inverse.ravel(), kind="stable")
     pts = flat[order]
-    # sum n^-s, -sum n^-s log n and, if doubled, sum n^-2s
-    sums = [np.empty_like(pts), np.empty_like(pts),
-            np.empty_like(pts) if doubled else None]
+    out = [np.empty_like(pts) for _ in range(3 if doubled else 2)]
     threads = zeta_threads()
     entries = min(_CHUNK_ENTRIES, _TABLE_ENTRIES // threads)
     # One factorisation, for the longest table: the primes and each layer
-    # are ascending, so a shorter table's plan is a prefix of it.
+    # are ascending, so a shorter table's plan is a prefix of it, cut by
+    # one searchsorted per layer for all table lengths at once.
     primes, layers = _factor_layers(int(keys[-1, 0]))
     logn = np.log(np.arange(1, keys[-1, 0], dtype=np.float64))
+    ends = np.array([np.searchsorted(x, keys[:, 0]) for x in
+                     [primes] + [n for n, _, _ in layers]]).T.tolist()
     with ThreadPoolExecutor(max_workers=threads) as pool:
         jobs = []
-        for (size, c1), hi, count in zip(keys.tolist(),
-                                         np.cumsum(counts).tolist(),
-                                         counts.tolist()):
-            plan = (primes[:np.searchsorted(primes, size)],
-                    [(n[:k], p[:k], q[:k]) for n, p, q in layers
-                     for k in [np.searchsorted(n, size)]], logn[:size - 1])
-            rows = max(1, entries // size)
+        for (size, c1), (k, *ks), hi, count in zip(
+                keys.tolist(), ends, np.cumsum(counts).tolist(),
+                counts.tolist()):
+            plan = (primes[:k], [(n[:e], p[:e], q[:e]) for (n, p, q), e
+                                 in zip(layers, ks)], logn[:size - 1])
+            rows = max(1, entries // max(size, 2 * _EM_CORRECTION_TERMS))
             for a in range(hi - count, hi, rows):
                 part = slice(a, min(a + rows, hi))
-                jobs.append(pool.submit(
-                    _power_sums, pts[part], c1, size, plan,
-                    *(x if x is None else x[part] for x in sums)))
+                jobs.append(pool.submit(_em_chunk, pts[part], c1, size, plan,
+                                        [x[part] for x in out]))
         for job in jobs:
             job.result()
-    out = _em_finish(pts, cut[order], *sums[:2])
-    if doubled:
-        out += _em_finish(2.0 * pts, cut2[order], sums[2])
     back = np.argsort(order)
     return [_unwrap(x[back].reshape(arr.shape), scalar) for x in out]
 
 
 def zeta_pair(s):
     """(zeta(s), zeta'(s)) by Euler-Maclaurin for Re s >= 0.4, s away from
-    1, as scalars or arrays with the shape of s.  The main-sum length N
-    is picked from |Im s| so the relative error stays at or below 1e-10
-    for |Im s| <= 2e4; zeta' is the term-wise derivative of the same sum.
-    """
+    1, as scalars or arrays with the shape of s.  The least N with
+    (|Im s| + 2J + 10)/(2 pi N) <= 0.8 and J = 78 corrections keep the
+    relative error at or below 1e-10 for |Im s| <= 2e4; zeta' is the
+    term-wise derivative of the same sum."""
     return tuple(_em_zeta(s))
 
 
@@ -332,6 +340,12 @@ def zeta_triple(s):
     zeta(2s) from the squares of the same n^-s table, with the cutoff and
     corrections of zeta(2s).  2s must stay away from 1 too."""
     return tuple(_em_zeta(s, doubled=True))
+
+
+def zeta_table_entries(t) -> int:
+    """Entries of the n^-s tables zeta_triple fills for the ordinates t:
+    the table length N(2t), the cutoff of zeta(2s), per point."""
+    return int(_em_cutoffs(2.0 * np.asarray(t, dtype=np.float64)).sum())
 
 
 def zeta(s):

@@ -247,6 +247,16 @@ def test_zeros_enrich_and_reuse(tmp_path):
                      "--output", str(report)]) == 0
 
 
+def test_zeros_enrich_counts_table_entries(tmp_path, cache80):
+    # the n^-s table entries of the zeta pass, a function of the
+    # ordinates alone: 6728 for the first 80 zeros
+    out = tmp_path / "again.npz"
+    assert cli.main(["zeros-enrich", "--zeros", cache80,
+                     "--output", str(out)]) == 0
+    manifest = json.loads((tmp_path / "again.npz.manifest.json").read_text())
+    assert manifest["results"]["zeta_table_entries"] == 6728
+
+
 def test_zeros_enrich_writes_csv(tmp_path):
     """An output name ending in .csv gets the CSV export, not a cache."""
     ords = tmp_path / "ordinates.txt"

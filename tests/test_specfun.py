@@ -2,6 +2,7 @@
 
 import math
 import sys
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -72,6 +73,11 @@ def test_em_constants_are_bernoulli_numbers():
     # B_2j/(2j)! to 30 digits, rounded once: the same double
     for j, got in enumerate(specfun._EM_BERN, 1):
         assert got == float(mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j))
+    # and the tangent-number route gives every B_2j exactly
+    exact = specfun._bernoulli(specfun._EM_CORRECTION_TERMS)
+    assert len(exact) == specfun._EM_CORRECTION_TERMS
+    for j, got in enumerate(exact, 1):
+        assert got == Fraction(*mpmath.bernfrac(2 * j)), j
 
 
 def test_log_gamma_recurrence():
@@ -122,6 +128,9 @@ def test_zeta_against_mpmath(rng):
     # enrichment-scale ordinates: rho near the last bundled zero, and
     # 1 + 2i gamma for it
     pts += [0.5 + 9876.5j, 1.0 + 19755.6j]
+    # the smallest N, where 2J dominates the cutoff, and the edge of the
+    # documented domain, |t| = 2e4
+    pts += [0.4 + 0.5j, 3.0 - 0.7j, 0.4 + 2e4j, 0.5 - 2e4j, 1.0 + 2e4j]
     for s in pts:
         if abs(s - 1.0) < 0.05:
             continue
@@ -204,10 +213,24 @@ def test_double_cutoff_covers_the_single_one():
     assert np.all(double >= single)
 
 
+def test_em_cutoffs_meet_the_ratio():
+    # each N meets (|t| + 2J + 10)/(2 pi N) <= 0.8 and is at most 1/8
+    # above the least N that does (least - 1 fails the ratio)
+    t = np.linspace(-4e4, 4e4, 800_001)
+    n = specfun._em_cutoffs(t)
+    need = np.abs(t) + 2.0 * specfun._EM_CORRECTION_TERMS + 10.0
+    least = np.ceil(need / (2.0 * math.pi * 0.8))
+    assert np.all(need / (2.0 * math.pi * n) <= 0.8)
+    assert np.all(need / (2.0 * math.pi * (least - 1)) > 0.8)
+    assert np.all((n >= least) & (n <= 1.125 * least))
+
+
 def test_zeta_derivative_against_mpmath(rng):
     pts = [complex(rng.uniform(0.5, 2.0), rng.uniform(-150.0, 150.0))
            for _ in range(10)]
     pts.append(0.5 + 9876.5j)
+    # as in test_zeta_against_mpmath: the smallest N and |t| = 2e4
+    pts += [0.4 + 0.5j, 3.0 - 0.7j, 0.4 + 2e4j, 0.5 - 2e4j, 1.0 + 2e4j]
     for s in pts:
         if abs(s - 1.0) < 0.05:
             continue
