@@ -18,8 +18,10 @@ directory.  For each case the script prints "identical" when the two
 CSV reports match byte for byte.  Otherwise it prints each moved
 column with its largest |change| over max(1, |main|, |single|,
 |double|, |direct|, |total|) of the row (the old tree's values), each
-moved summary key with |change| over max(1, |old|), and "header
-differs" or "changed" for anything that is not a float.
+summary key only the new or only the old report has as "summary +key"
+or "summary -key", each moved shared summary key with |change| over
+max(1, |old|), "changed" for any other value that is not a float, and
+"header differs" when the columns or the row count differ.
 
 Each tree also writes the exact side's artifacts in a fresh
 interpreter: the lambda table to 1e7 and the mu table to 3e6 in the
@@ -168,8 +170,10 @@ def compare(old_text, new_text):
         return "identical"
     h0, rows0, sum0 = _parse(old_text)
     h1, rows1, sum1 = _parse(new_text)
-    if h0 != h1 or len(rows0) != len(rows1) or set(sum0) != set(sum1):
+    if h0 != h1 or len(rows0) != len(rows1):
         return "header differs"
+    notes = [f"summary +{key}" for key in sorted(sum1.keys() - sum0.keys())]
+    notes += [f"summary -{key}" for key in sorted(sum0.keys() - sum1.keys())]
     moved = {}
     for r0, r1 in zip(rows0, rows1):
         scale = _row_scale(h0, r0)
@@ -182,7 +186,7 @@ def compare(old_text, new_text):
             rel = abs(float(b) - float(a)) / scale
             if moved.get(key) != "changed":
                 moved[key] = max(moved.get(key, 0.0), rel)
-    for key in sorted(sum0):
+    for key in sorted(sum0.keys() & sum1.keys()):
         a, b = sum0[key], sum1[key]
         if a == b:
             continue
@@ -191,8 +195,9 @@ def compare(old_text, new_text):
             moved[f"summary {key}"] = rel
         else:
             moved[f"summary {key}"] = "changed"
-    return ", ".join(f"{k} {v:.2e}" if isinstance(v, float) else f"{k} {v}"
-                     for k, v in moved.items())
+    notes += [f"{k} {v:.2e}" if isinstance(v, float) else f"{k} {v}"
+              for k, v in moved.items()]
+    return ", ".join(notes)
 
 
 def compare_bytes(old, new):

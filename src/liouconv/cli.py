@@ -11,17 +11,20 @@ Five subcommands:
 The ``_COMMANDS`` table maps each subcommand to its handler and the
 options its parser declares.  ``verify`` takes one of nine targets: L,
 M, cesaro, cesaro-mu, dfold, dirichlet, exponential, weighted,
-identity.  The ``_VERIFY`` table maps each target to its runner,
-whether it needs ``--zeros`` and the options it reads (any other flag
-is a usage error).  L, M, Cesaro and exponential share one loop,
-``_sweep``.  The zero sums run over every loaded zero; ``--count N``,
-the only cut, keeps the first N of a cache or an ordinate file.  Each
-run writes a report (CSV by default, JSON with --format json) with one
-row per sample point and a summary block, plus a manifest next to it
-recording the effective configuration, library versions, input
-checksums, and the report's SHA-256.  Reports carry no
-timestamps and every float is written with shortest-roundtrip repr,
-so the same inputs produce byte identical reports.
+identity.  The ``_VERIFY`` table maps each target to its runner, sign
+kind, default ``--limit``, whether it needs ``--zeros`` and the options
+it reads (any other flag is a usage error).  Every zero target runs
+through one loop, ``_sweep``: L, M, cesaro, cesaro-mu and dfold over
+``--samples`` or the default log grid their runner hands ``_grid``,
+exponential over its y values, dirichlet at its one s and weighted's
+zero half at its one weight.  The zero sums run over every loaded
+zero; ``--count N``, the only cut, keeps the first N of a cache or an
+ordinate file.  Each run writes a report (CSV by default, JSON with
+--format json) with one row per sample point and a summary block, plus
+a manifest next to it recording the effective configuration, library
+versions, input checksums, and the report's SHA-256.  Reports carry no
+timestamps and every float is written with shortest-roundtrip repr, so
+the same inputs produce byte identical reports.
 
 Each row of ``_OPTIONS`` is both a flag and a ``--config`` key=value
 key.  Precedence is flags, then the config file, then built-in
@@ -206,7 +209,7 @@ def _make_config(args):
     outside that set keeps its default and lands in ignored_config.
     """
     file_cfg = _read_config_file(args.config) if args.config else {}
-    reads = (_VERIFY[args.target][2] + ("workers", "output", "format")
+    reads = (_VERIFY[args.target][4] + ("workers", "output", "format")
              if args.command == "verify" else _COMMANDS[args.command][2])
     merged = {}
     ignored = {}
@@ -219,8 +222,7 @@ def _make_config(args):
         elif key in file_cfg:
             (merged if key in reads else ignored)[key] = file_cfg[key]
     if args.command == "verify":
-        merged.setdefault("limit", 4096 if args.target == "identity"
-                          else 10000)
+        merged.setdefault("limit", _VERIFY[args.target][2])
     fmt = merged.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise UsageError(f"--format must be csv or json, got {fmt!r}")
@@ -254,7 +256,7 @@ def _validate(cfg):
     if cfg.command != "verify":
         return
     target = cfg.target
-    if _VERIFY[target][1] and cfg.zeros is None:
+    if _VERIFY[target][3] and cfg.zeros is None:
         raise UsageError(f"verify {target} needs --zeros")
     if target == "dirichlet":
         if cfg.s is None:
@@ -309,23 +311,6 @@ def _load_zeroset(cfg, inputs):
         loaded = (zeros.truncate(loaded, count=cfg.count) if cached
                   else loaded[:cfg.count])
     return loaded if cached else zeros.enrich(loaded)
-
-
-def _sample_grid(spec):
-    kind, count, lo, hi = spec
-    if count == 1:
-        return np.array([lo], dtype=np.float64)
-    if kind == "log":
-        return np.geomspace(lo, hi, count)
-    return np.linspace(lo, hi, count)
-
-
-def _default_samples(target, limit):
-    if target in ("L", "M"):
-        return ("log", 50, 10.0, float(limit))
-    if target in ("cesaro", "cesaro-mu"):
-        return ("log", 40, max(10.0, limit / 1000.0), float(limit))
-    return ("log", 20, max(10.0, limit / 100.0), float(limit))
 
 
 def _fmt(value):
@@ -414,9 +399,10 @@ _SWEEP_COLUMNS = ("direct", "main_term", "single_sum", "double_sum", "total",
                   "pair_terms")
 
 
-def _sweep(axis, points, direct, formula, columns):
-    """One row per point: the direct value, the formula's breakdown and
-    their residual, with the realness check on every breakdown.
+def _sweep(axis, points, direct, formula, columns=_SWEEP_COLUMNS):
+    """One row per point (a Python number, written as given): the direct
+    value, the formula's breakdown and their residual, with the realness
+    check on every breakdown; then the residual summary.
 
     A column that is neither the axis, ``direct``, ``residual`` nor a
     breakdown field is left as None for the caller to fill.
@@ -425,7 +411,6 @@ def _sweep(axis, points, direct, formula, columns):
     failures = []
     worst_imag = 0.0
     for p in points:
-        p = float(p)
         value = direct(p)
         bd = formula(p)
         worst_imag = max(worst_imag,
@@ -436,81 +421,76 @@ def _sweep(axis, points, direct, formula, columns):
     return cols, _residual_summary(cols, worst_imag), failures
 
 
-def _run_summatory(cfg, zset):
-    kind = sieve.KIND_LIOUVILLE if cfg.target == "L" else sieve.KIND_MOEBIUS
+def _grid(cfg, count, lo):
+    """The --samples grid, else count log-spaced points from lo to limit."""
+    spacing, count, lo, hi = cfg.samples or ("log", count, lo, cfg.limit)
+    space = np.geomspace if spacing == "log" else np.linspace
+    return space(lo, hi, count).tolist()
+
+
+def _run_summatory(cfg, kind, zset):
     table = sieve.build_sieve(kind, cfg.limit)
-    grid = _sample_grid(cfg.samples or _default_samples(cfg.target, cfg.limit))
-    return _sweep(
-        "x", grid, lambda x: sieve.summatory(table, x),
-        lambda x: explicit.explicit_summatory(kind, x, zset),
-        _SWEEP_COLUMNS)
+    return _sweep("x", _grid(cfg, 50, 10.0),
+                  lambda x: sieve.summatory(table, x),
+                  lambda x: explicit.explicit_summatory(kind, x, zset))
 
 
-def _run_cesaro(cfg, zset):
-    kind = (sieve.KIND_MOEBIUS if cfg.target == "cesaro-mu"
-            else sieve.KIND_LIOUVILLE)
-    d = (cfg.d or 3) if cfg.target == "dfold" else 2
+def _run_cesaro(cfg, kind, zset):
     table = sieve.build_sieve(kind, cfg.limit)
-    if cfg.target == "dfold":
-        direct = functools.partial(
-            convolve.cesaro_sum, convolve.convolve_fft(table, d, cfg.limit))
-    else:
-        direct = functools.partial(convolve.cesaro_prefix, table)
-    grid = _sample_grid(cfg.samples or _default_samples(cfg.target, cfg.limit))
-    return _sweep(
-        "x", grid, direct,
-        lambda x: explicit.explicit_cesaro(kind, x, zset, d=d),
-        _SWEEP_COLUMNS)
+    return _sweep("x", _grid(cfg, 40, max(10.0, cfg.limit / 1000.0)),
+                  functools.partial(convolve.cesaro_prefix, table),
+                  lambda x: explicit.explicit_cesaro(kind, x, zset))
 
 
-def _run_dirichlet(cfg, zset):
-    table = sieve.build_sieve(sieve.KIND_LIOUVILLE, cfg.limit)
-    series = convolve.convolve_fft(table, 2, cfg.limit)
-    s = cfg.s
-    direct = explicit.dirichlet_direct(series, s, cfg.limit)
-    bd = explicit.dirichlet_explicit(sieve.KIND_LIOUVILLE, s, zset)
-    failures = []
-    if s.imag == 0.0:
-        _check_realness(bd, failures, f"s={s.real!r}")
-    resid = abs(direct - bd.total)
-    cols = {
-        "re_s": [s.real], "im_s": [s.imag],
-        "direct_re": [direct.real], "direct_im": [direct.imag],
-        "main_re": [complex(bd.main_term).real],
-        "main_im": [complex(bd.main_term).imag],
-        "single_re": [complex(bd.single_sum).real],
-        "single_im": [complex(bd.single_sum).imag],
-        "double_re": [complex(bd.double_sum).real],
-        "double_im": [complex(bd.double_sum).imag],
-        "total_re": [complex(bd.total).real],
-        "total_im": [complex(bd.total).imag],
-        "residual": [resid], "envelope": [bd.envelope],
-        "truncation_T": [bd.truncation_T], "zeros_used": [bd.zeros_used],
-        "pair_terms": [bd.pair_terms],
-    }
-    summary = {
-        "rows": 1,
-        "median_residual": resid,
-        "max_residual": resid,
-        "envelope_exceedances": int(resid > bd.envelope),
-    }
-    return cols, summary, failures
+def _run_dfold(cfg, kind, zset):
+    d = cfg.d or 3
+    series = convolve.convolve_fft(sieve.build_sieve(kind, cfg.limit), d,
+                                   cfg.limit)
+    return _sweep("x", _grid(cfg, 20, max(10.0, cfg.limit / 100.0)),
+                  functools.partial(convolve.cesaro_sum, series),
+                  lambda x: explicit.explicit_cesaro(kind, x, zset, d=d))
 
 
-def _run_exponential(cfg, zset):
+# complex sweep column -> its real and imaginary report columns
+_COMPLEX_COLUMNS = {
+    "s": ("re_s", "im_s"), "direct": ("direct_re", "direct_im"),
+    "main_term": ("main_re", "main_im"),
+    "single_sum": ("single_re", "single_im"),
+    "double_sum": ("double_re", "double_im"),
+    "total": ("total_re", "total_im"),
+}
+
+
+def _run_dirichlet(cfg, kind, zset):
+    n = cfg.limit
+    series = convolve.convolve_fft(sieve.build_sieve(kind, n), 2, n)
+    cols, summary, failures = _sweep(
+        "s", [cfg.s], lambda s: explicit.dirichlet_direct(series, s, n),
+        lambda s: explicit.dirichlet_explicit(kind, s, zset))
+    split = {}
+    for key, values in cols.items():
+        if key not in _COMPLEX_COLUMNS:
+            split[key] = values
+            continue
+        re_key, im_key = _COMPLEX_COLUMNS[key]
+        split[re_key] = [complex(v).real for v in values]
+        split[im_key] = [complex(v).imag for v in values]
+    return split, summary, failures
+
+
+def _run_exponential(cfg, kind, zset):
     ys = cfg.y or (0.1, 0.05, 0.02, 0.01)
-    table = sieve.build_sieve(sieve.KIND_LIOUVILLE, cfg.limit)
-    series = convolve.convolve_fft(table, 2, cfg.limit)
+    series = convolve.convolve_fft(sieve.build_sieve(kind, cfg.limit), 2,
+                                   cfg.limit)
     cols, summary, failures = _sweep(
         "y", ys, lambda y: explicit.exponential_direct(series, y, cfg.limit),
-        lambda y: explicit.exponential_explicit(sieve.KIND_LIOUVILLE, y, zset),
+        lambda y: explicit.exponential_explicit(kind, y, zset),
         ("direct", "main_term", "single_sum", "double_sum", "total",
          "residual", "envelope", "deficit", "truncation_T", "zeros_used"))
     target_const = math.pi / (4.0 * specfun.zeta_half() ** 2)
     cols["deficit"] = [abs(y * v - target_const)
                        for y, v in zip(cols["y"], cols["direct"])]
-    order = sorted(range(len(ys)), key=lambda i: -ys[i])
-    deficits = [cols["deficit"][i] for i in order]
+    deficits = [v for _, v in sorted(zip(ys, cols["deficit"]))][::-1]
     summary["deficit_monotone"] = all(b < a for a, b in
                                       zip(deficits, deficits[1:]))
     summary["deficit_final"] = deficits[-1]
@@ -530,40 +510,33 @@ def _exact_identity(wa, failures, where):
     return direct, rhs, rel
 
 
-def _run_weighted(cfg, zset):
+def _run_weighted(cfg, kind, zset):
     a, b, eta, power = cfg.weight
     d = cfg.d or 2
-    table = sieve.build_sieve(sieve.KIND_LIOUVILLE, cfg.limit)
     wa = explicit.WeightedAverage(
-        explicit.PolynomialWeight(a, b, eta, power=power), table, d)
+        explicit.PolynomialWeight(a, b, eta, power=power),
+        sieve.build_sieve(kind, cfg.limit), d)
     failures = []
     direct, ident, rel = _exact_identity(wa, failures, "weighted run")
-    cols = {
-        "a": [a], "b": [b], "eta": [eta], "power": [power], "d": [d],
-        "direct": [direct], "identity_rhs": [ident],
-        "identity_rel_residual": [rel],
-    }
-    summary = {
-        "rows": 1,
-        "identity_rel_residual": rel,
-        "identity_ok": rel <= _REL_IDENTITY_TOL,
-    }
+    cols = {"a": [a], "b": [b], "eta": [eta], "power": [power], "d": [d],
+            "direct": [direct], "identity_rhs": [ident],
+            "identity_rel_residual": [rel]}
+    summary = {"rows": 1, "identity_rel_residual": rel,
+               "identity_ok": rel <= _REL_IDENTITY_TOL}
     if zset is not None:
-        bd = explicit.weighted_average_explicit(wa, zset)
-        worst = _check_realness(bd, failures, "weighted run")
-        resid = abs(direct - bd.total)
-        for key in ("main_term", "single_sum", "double_sum", "total",
-                    "envelope", "truncation_T", "zeros_used", "pair_terms"):
-            cols[key] = [getattr(bd, key)]
-        cols["residual"] = [resid]
-        summary["max_residual"] = resid
-        summary["median_residual"] = resid
-        summary["max_relative_imag"] = worst
-        summary["envelope_exceedances"] = int(resid > bd.envelope)
+        # the zero half: a one-point sweep whose axis is the direct value
+        zcols, zsummary, zfailures = _sweep(
+            "direct", [direct], lambda v: v,
+            lambda _: explicit.weighted_average_explicit(wa, zset),
+            ("main_term", "single_sum", "double_sum", "total", "envelope",
+             "truncation_T", "zeros_used", "pair_terms", "residual"))
+        cols.update(zcols)
+        summary.update(zsummary)
+        failures += zfailures
     return cols, summary, failures
 
 
-def _run_identity(cfg, zset):
+def _run_identity(cfg, _kind, zset):
     trials = cfg.trials
     rng = np.random.default_rng(_IDENTITY_SEED)
     tables = {}
@@ -608,18 +581,24 @@ def _run_identity(cfg, zset):
 
 
 _ZEROS = ("zeros", "count")
+_SAMPLED = ("limit", "samples") + _ZEROS
+_LAMBDA, _MU = sieve.KIND_LIOUVILLE, sieve.KIND_MOEBIUS
 
-# target -> (runner, needs --zeros, the options its runner reads)
+# target -> (runner, sign kind, default --limit, needs --zeros, the
+# options its runner reads)
 _VERIFY = {
-    "L": (_run_summatory, True, ("limit", "samples") + _ZEROS),
-    "M": (_run_summatory, True, ("limit", "samples") + _ZEROS),
-    "cesaro": (_run_cesaro, True, ("limit", "samples") + _ZEROS),
-    "cesaro-mu": (_run_cesaro, True, ("limit", "samples") + _ZEROS),
-    "dfold": (_run_cesaro, True, ("limit", "samples", "d") + _ZEROS),
-    "dirichlet": (_run_dirichlet, True, ("limit", "s") + _ZEROS),
-    "exponential": (_run_exponential, True, ("limit", "y") + _ZEROS),
-    "weighted": (_run_weighted, False, ("limit", "weight", "d") + _ZEROS),
-    "identity": (_run_identity, False, ("limit", "trials", "d")),
+    "L": (_run_summatory, _LAMBDA, 10000, True, _SAMPLED),
+    "M": (_run_summatory, _MU, 10000, True, _SAMPLED),
+    "cesaro": (_run_cesaro, _LAMBDA, 10000, True, _SAMPLED),
+    "cesaro-mu": (_run_cesaro, _MU, 10000, True, _SAMPLED),
+    "dfold": (_run_dfold, _LAMBDA, 10000, True, _SAMPLED + ("d",)),
+    "dirichlet": (_run_dirichlet, _LAMBDA, 10000, True,
+                  ("limit", "s") + _ZEROS),
+    "exponential": (_run_exponential, _LAMBDA, 10000, True,
+                    ("limit", "y") + _ZEROS),
+    "weighted": (_run_weighted, _LAMBDA, 10000, False,
+                 ("limit", "weight", "d") + _ZEROS),
+    "identity": (_run_identity, None, 4096, False, ("limit", "trials", "d")),
 }
 
 
@@ -648,7 +627,8 @@ def _residual_summary(cols, worst_imag):
 def _cmd_verify(cfg):
     inputs = {}
     zset = None if cfg.zeros is None else _load_zeroset(cfg, inputs)
-    cols, summary, failures = _VERIFY[cfg.target][0](cfg, zset)
+    runner, kind = _VERIFY[cfg.target][:2]
+    cols, summary, failures = runner(cfg, kind, zset)
     report = cfg.output or f"verify-{cfg.target}-report.{cfg.format}"
     _write_report(report, cfg.format, cfg.command, cfg.target, cols, summary)
     manifest = _write_manifest(cfg, report, inputs)

@@ -273,18 +273,24 @@ def test_zeros_enrich_writes_csv(tmp_path):
     assert manifest["results"]["count"] == 10
 
 
-@pytest.mark.parametrize("target, rows, lo", [("cesaro", 40, 10.0),
-                                              ("dfold", 20, 20.0)])
-def test_default_samples(tmp_path, cache80, target, rows, lo):
+@pytest.mark.parametrize("target, samples, rows, lo, hi", [
+    pytest.param("cesaro", None, 40, 10.0, 2000.0, id="cesaro-40-10.0"),
+    pytest.param("dfold", None, 20, 20.0, 2000.0, id="dfold-20-20.0"),
+    pytest.param("L", "log:1:100:800", 1, 100.0, 100.0, id="L-log-1"),
+    pytest.param("L", "linear:1:100:100", 1, 100.0, 100.0, id="L-linear-1"),
+])
+def test_default_samples(tmp_path, cache80, target, samples, rows, lo, hi):
     """Without --samples a Cesaro target samples a log grid up to the
-    limit: 40 points for cesaro, 20 from limit/100 for dfold."""
+    limit: 40 points for cesaro, 20 from limit/100 for dfold.  A grid of
+    one point, log or linear, is its lower end alone."""
     report = tmp_path / "report.csv"
+    extra = ["--samples", samples] if samples else []
     assert cli.main(["verify", target, "--zeros", cache80, "--limit", "2000",
-                     "--output", str(report)]) == 0
+                     "--output", str(report)] + extra) == 0
     head, summary = _summary_block(report.read_text())
     xs = [float(row.split(",")[0]) for row in head.splitlines()[1:]]
     assert summary["rows"] == str(rows) and len(xs) == rows
-    assert (xs[0], xs[-1]) == (lo, 2000.0)
+    assert (xs[0], xs[-1]) == (lo, hi)
 
 
 @pytest.mark.parametrize("name", ["ords.npz", "z30.bin"])
@@ -416,10 +422,9 @@ _WEIGHTED = ["a", "b", "eta", "power", "d", "direct", "identity_rhs",
     (["dfold", Z, "--limit", "2000", "--samples", "log:3:200:2000"],
      ["x"] + _SWEEP, _SWEEP_SUMMARY),
     (["dirichlet", Z, "--limit", "2000", "--s", "3,1"], _DIRICHLET,
-     {"rows", "median_residual", "max_residual", "envelope_exceedances"}),
-    (["dirichlet", Z, "--limit", "2000", "--s", "3"],
-     _DIRICHLET,
-     {"rows", "median_residual", "max_residual", "envelope_exceedances"}),
+     _SWEEP_SUMMARY),
+    (["dirichlet", Z, "--limit", "2000", "--s", "3"], _DIRICHLET,
+     _SWEEP_SUMMARY),
     (["exponential", Z, "--limit", "4000", "--y", "0.1,0.01"],
      ["y", "direct", "main_term", "single_sum", "double_sum", "total",
       "residual", "envelope", "deficit", "truncation_T", "zeros_used"],
@@ -476,6 +481,30 @@ def test_sieve_growth_failure_exits_1(tmp_path, monkeypatch, capsys):
     manifest = json.loads(
         (tmp_path / "table.bin.manifest.json").read_text())
     assert manifest["results"]["growth_diagnostic"] > 3.0
+
+
+@pytest.mark.parametrize("argv, where", [
+    (["weighted", "--limit", "2000", "--weight", "0:2.5:40"], "weighted run"),
+    (["identity", "--limit", "1024", "--trials", "2"],
+     "trial 0 (liouville, d=2)"),
+], ids=["weighted", "identity"])
+def test_exact_identity_failure_exits_1(tmp_path, monkeypatch, capsys, argv,
+                                        where):
+    """A right-hand side one off the direct sum breaks the exact identity:
+    the report, with identity_ok false, and its manifest are still
+    written, and main returns 1 instead of raising."""
+    direct = explicit.weighted_average_direct
+    monkeypatch.setattr(explicit, "weighted_average_rhs",
+                        lambda wa: direct(wa) + 1.0)
+    report = tmp_path / "report.csv"
+    assert cli.main(["verify"] + argv + ["--output", str(report)]) == 1
+    assert (f"invariant failure: {where}: exact identity residual"
+            in capsys.readouterr().err)
+    assert _summary_block(report.read_text())[1]["identity_ok"] == "false"
+    manifest = json.loads(
+        (tmp_path / "report.csv.manifest.json").read_text())
+    assert (manifest["report"]["sha256"]
+            == hashlib.sha256(report.read_bytes()).hexdigest())
 
 
 def test_sieve_and_convolve_artifacts(tmp_path):
