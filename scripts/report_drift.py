@@ -4,8 +4,9 @@
 Each tree enriches all 10^4 bundled ordinates (gamma up to about 9878),
 and the script prints, for zeta'(rho) and for zeta(2 rho), "identical"
 when the arrays match bit for bit and the largest relative move
-otherwise.  Each tree also runs the same 19 `verify` cases (every
-target at small sizes, plus `dfold --d 4`, `dirichlet --s 3`,
+otherwise.  Each tree also runs the same 24 `verify` cases (every
+target at small sizes, plus L, M, cesaro, dfold and `dfold --d 2` on
+their default limit and sample grid, `dfold --d 4`, `dirichlet --s 3`,
 `exponential` on its default y grid 0.1/0.05/0.02/0.01,
 `weighted --d 3` with zeros, `weighted` with zeros at the fractional
 eta*a = 48.1, where the boundary term and both kink families of the
@@ -59,6 +60,11 @@ CASES = {
     "dfold": ["dfold", Z, "--limit", "2000", "--samples", "log:3:200:2000"],
     "dfold-d4": ["dfold", Z, "--limit", "2000", "--d", "4",
                  "--samples", "log:3:200:2000"],
+    "L-default": ["L", Z],
+    "M-default": ["M", Z],
+    "cesaro-default": ["cesaro", Z],
+    "dfold-default": ["dfold", Z],
+    "dfold-d2": ["dfold", Z, "--d", "2"],
     "dirichlet": ["dirichlet", Z, "--limit", "2000", "--s", "3,1"],
     "dirichlet-s3": ["dirichlet", Z, "--limit", "2000", "--s", "3"],
     "exponential": ["exponential", Z, "--limit", "4000", "--y", "0.1,0.01"],

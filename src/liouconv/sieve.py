@@ -1,15 +1,12 @@
 """Liouville and Moebius tables plus their summatory functions.
 
-Every table is built in one pass over fixed segments of _SEGMENT
-entries with an exact prime-power sieve: for every prime p <= sqrt(N)
-each power p^k adds 1 to Omega(n) on its multiples and multiplies p
-into their factored part (int32 below 2^31), and for mu each power
-with k >= 2 marks its multiples as not squarefree.  The cofactor
-n / (factored part) is then 1 or the one remaining prime above sqrt(N),
-which counts in Omega(n) where the factored part is not n.
-lambda(n) = (-1)^Omega(n), and mu(n) is lambda(n) on squarefree n and
-0 elsewhere.  All arithmetic is integer; no floating point enters the
-table values, and no step holds more than one segment of working arrays.
+Each table fills itself segment by segment: every n > 1 that is not
+prime has a prime factor p <= sqrt(n), and lambda(n) = -lambda(n / p),
+where n / p <= n / 2 lies below the segment [a, b) since b <= 2a.  A
+segment starts at -1 (right for primes), and each prime p <= sqrt(b - 1)
+negates values[n / p] into its multiples n in one int8 call.  For mu,
+where mu(n) = -mu(n / p) unless p^2 | n, the multiples of each p^2 < b
+are then zeroed.  No floating point enters the table values.
 """
 
 from __future__ import annotations
@@ -33,9 +30,8 @@ __all__ = [
 KIND_LIOUVILLE = "liouville"
 KIND_MOEBIUS = "moebius"
 
-# values (int8) + prefix (int64) cost 9 bytes per entry of the finished
-# table; on top of that the build and the load keep one working segment
-# of _SEGMENT entries (at most ~40 bytes each) alive.  2e8 entries ~ 1.8 GB.
+# values (int8) + prefix (int64) cost 9 bytes per entry, and the build and
+# the load fill both in place, with no working arrays.  2e8 entries ~ 1.8 GB.
 MEMORY_LIMIT = 200_000_000
 
 _SEGMENT = 1 << 20
@@ -74,41 +70,36 @@ def _small_primes(limit: int) -> np.ndarray:
     return np.nonzero(mask)[0].astype(np.int64)
 
 
-def _sieve_segment(kind: str, lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
-    """Exact values of lambda or mu on [lo, hi)."""
-    size = hi - lo
-    wide = np.int32 if hi <= 1 << 31 else np.int64
-    big_omega = np.zeros(size, dtype=np.int8)  # Omega(n) < 28 below 2e8
-    factored = np.ones(size, dtype=wide)
-    squarefree = np.ones(size, dtype=bool) if kind == KIND_MOEBIUS else None
-    for p in primes.tolist():
-        pk, k = p, 1
-        while (start := -lo % pk) < size:  # some multiple of p^k in range
-            big_omega[start::pk] += 1
-            factored[start::pk] *= p
-            if k >= 2 and squarefree is not None:
-                squarefree[start::pk] = False
-            pk, k = pk * p, k + 1
-    big_omega += np.arange(lo, hi, dtype=wide) != factored
-    out = 1 - 2 * (big_omega & 1)
-    return out if squarefree is None else out * squarefree
+def _sieve_fill(kind: str, primes: list, values: np.ndarray,
+                a: int, b: int) -> None:
+    """Exact lambda or mu on [a, b) from values[1:a]; needs b <= 2a and
+    every prime up to sqrt(b - 1) in primes."""
+    values[a:b] = -1
+    values[1] = 1    # the first segment is [1, 2); every later one reads it
+    small = [p for p in primes if p * p < b]
+    for p in small:
+        start = -(-a // p) * p
+        np.negative(values[start // p:(b - 1) // p + 1],
+                    out=values[start:b:p])
+    if kind == KIND_MOEBIUS:
+        # the write above is wrong only where p^2 | n, and mu(n) = 0 there
+        for q in (p * p for p in small):
+            values[-(-a // q) * q:b:q] = 0
 
 
-def _segments(lo: int, limit: int):
-    """Half-open bounds [a, b) of consecutive _SEGMENT runs over lo..limit."""
-    for a in range(lo, limit + 1, _SEGMENT):
-        yield a, min(a + _SEGMENT, limit + 1)
-
-
-def _freeze(kind: str, limit: int, segment) -> SieveTable:
-    """Read-only table with values[a:b] = segment(a, b) for each segment
-    of 1..limit; the running sums are formed segment by segment."""
+def _freeze(kind: str, limit: int, fill) -> SieveTable:
+    """Read-only table from fill(values, a, b), which writes values[a:b]
+    for segments that double from [1, 2) up to _SEGMENT entries (so
+    b <= 2a); the running sums are formed segment by segment."""
     values = np.zeros(limit + 1, dtype=np.int8)
     prefix = np.zeros(limit + 1, dtype=np.int64)
-    for a, b in _segments(1, limit):
-        values[a:b] = segment(a, b)
+    a = 1
+    while a <= limit:
+        b = min(2 * a, a + _SEGMENT, limit + 1)
+        fill(values, a, b)
         np.cumsum(values[a:b], dtype=np.int64, out=prefix[a:b])
         prefix[a:b] += prefix[a - 1]
+        a = b
     values.setflags(write=False)
     prefix.setflags(write=False)
     return SieveTable(kind=kind, limit=limit, values=values, prefix=prefix)
@@ -120,7 +111,7 @@ def build_sieve(kind: str, limit: int) -> SieveTable:
     Args:
         kind: "liouville" or "moebius".
         limit: table size N >= 1; at most MEMORY_LIMIT (9 bytes/entry
-            held in the result plus one working segment).
+            held in the result).
 
     Raises:
         ValueError: unknown kind, N = 0, or N over the memory budget.
@@ -135,9 +126,9 @@ def build_sieve(kind: str, limit: int) -> SieveTable:
             f"entries (~9 bytes each in the finished table); raise "
             f"sieve.MEMORY_LIMIT explicitly if you have the RAM")
 
-    primes = _small_primes(int(math.isqrt(limit)))
-    return _freeze(kind, limit,
-                   lambda a, b: _sieve_segment(kind, a, b, primes))
+    primes = _small_primes(math.isqrt(limit)).tolist()
+    return _freeze(kind, limit, lambda values, a, b:
+                   _sieve_fill(kind, primes, values, a, b))
 
 
 def summatory(table: SieveTable, x) -> int:
@@ -162,12 +153,12 @@ def growth_diagnostic(table: SieveTable) -> float:
     trivial bound; values above 3 indicate a broken table.
     """
     worst = 0.0
-    for a, b in _segments(100, table.limit):
-        peak = np.abs(table.prefix[a:b])
+    for a in range(100, table.limit + 1, 1 << 16):
+        peak = np.abs(table.prefix[a:a + (1 << 16)])
         # every k >= a, so no ratio here can exceed peak.max() / a^0.6
         if peak.max() / a ** 0.6 * (1 + 1e-9) < worst:
             continue
-        k = np.arange(a, b, dtype=np.float64)
+        k = np.arange(a, a + peak.size, dtype=np.float64)
         worst = max(worst, float((peak / k ** 0.6).max()))
     return worst
 
@@ -206,12 +197,15 @@ def load_table(path) -> SieveTable:
         if body != limit:
             raise ValueError(f"table body has {body} bytes, header says "
                              f"{limit}")
-        table = _freeze(kind, limit, lambda a, b: np.frombuffer(
-            fh.read(b - a), dtype=np.int8))
-    for a, b in _segments(1, limit):
-        if not np.isin(table.values[a:b], _ALLOWED[kind]).all():
-            raise ValueError(
-                f"{kind} table holds a value outside {_ALLOWED[kind]}")
+
+        def fill(values, a, b):
+            if fh.readinto(values[a:b]) != b - a:
+                raise ValueError("truncated table file")
+            if not np.isin(values[a:b], _ALLOWED[kind]).all():
+                raise ValueError(
+                    f"{kind} table holds a value outside {_ALLOWED[kind]}")
+
+        table = _freeze(kind, limit, fill)
     if limit < 1 or table.values[1] != 1:
         raise ValueError("table value at n = 1 must be 1")
     return table

@@ -470,9 +470,9 @@ def test_default_artifact_names(tmp_path, monkeypatch):
 def test_sieve_growth_failure_exits_1(tmp_path, monkeypatch, capsys):
     """An all-ones table breaks the growth bound: the table and its
     manifest are still written, and main returns 1 instead of raising."""
-    monkeypatch.setattr(sieve, "_sieve_segment",
-                        lambda kind, lo, hi, primes:
-                        np.ones(hi - lo, dtype=np.int8))
+    monkeypatch.setattr(sieve, "_sieve_fill",
+                        lambda kind, primes, values, a, b:
+                        values[a:b].fill(1))
     table_path = tmp_path / "table.bin"
     assert cli.main(["sieve", "--limit", "1000",
                      "--output", str(table_path)]) == 1

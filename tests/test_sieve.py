@@ -1,4 +1,4 @@
-"""Sieve tables against an independent linear-sieve construction."""
+"""Sieve tables against a linear sieve and trial division."""
 
 import hashlib
 import math
@@ -10,8 +10,9 @@ from liouconv import sieve
 
 
 def _linear_sieve(limit):
-    """Smallest-prime-factor recurrence; a different route than the
-    segmented Eratosthenes pass inside the package."""
+    """Smallest-prime-factor recurrence lambda(p n) = -lambda(n) over the
+    whole range, with no segments.  It shares the package's multiplicative
+    route, so _trial_division below is the independent oracle."""
     lam = np.zeros(limit + 1, dtype=np.int8)
     mu = np.zeros(limit + 1, dtype=np.int8)
     spf = np.zeros(limit + 1, dtype=np.int64)
@@ -178,20 +179,21 @@ def _trial_division(lo, hi):
     return big_omega, squarefree
 
 
-@pytest.mark.parametrize("lo, hi", [
-    (1, 5000),
-    (2 ** 31 - 600, 2 ** 31),            # int32 factored parts, up to the top
-    (2 ** 31 - 600, 2 ** 31 + 600),      # int64 factored parts
-])
-def test_segment_matches_trial_division(lo, hi):
+@pytest.mark.parametrize("lo, hi, segment", [
+    (1, 5000, None),
+    (8500, 12000, 1000),     # across the segment starts 9024, 10024, 11024
+    (3_000_000 - 600, 3_000_000, None),
+], ids=["1-5000", "8500-12000-segment-1000", "2999400-3000000"])
+def test_segment_matches_trial_division(monkeypatch, lo, hi, segment):
+    """Windows [lo, hi) of tables built to hi - 1."""
+    if segment is not None:
+        monkeypatch.setattr(sieve, "_SEGMENT", segment)
     big_omega, squarefree = _trial_division(lo, hi)
     lam = 1 - 2 * (big_omega & 1)
-    primes = sieve._small_primes(math.isqrt(hi))
-    assert np.array_equal(
-        sieve._sieve_segment(sieve.KIND_LIOUVILLE, lo, hi, primes), lam)
-    assert np.array_equal(
-        sieve._sieve_segment(sieve.KIND_MOEBIUS, lo, hi, primes),
-        lam * squarefree)
+    for kind, want in ((sieve.KIND_LIOUVILLE, lam),
+                       (sieve.KIND_MOEBIUS, lam * squarefree)):
+        assert np.array_equal(sieve.build_sieve(kind, hi - 1).values[lo:],
+                              want)
 
 
 def test_lambda_pinned_at_1e7():
@@ -201,6 +203,15 @@ def test_lambda_pinned_at_1e7():
     assert digest == ("335e74f78e3c07376ed9df652c71b700"
                       "93a808eb7ba779ed99fa9de000ea0d0e")
     assert sieve.summatory(table, 10 ** 7) == -842
+
+
+def test_mu_pinned_at_3e6():
+    """3 * 10^6 spans several default segments."""
+    table = sieve.build_sieve(sieve.KIND_MOEBIUS, 3 * 10 ** 6)
+    digest = hashlib.sha256(table.values[1:].tobytes()).hexdigest()
+    assert digest == ("1def1bf1970f55adb5aa085e9631e137"
+                      "a29e46042f0a610df4f3f8c33fc95461")
+    assert sieve.summatory(table, 3 * 10 ** 6) == 107
 
 
 def test_growth_diagnostic_stays_small(lio_100k, moe_100k):
