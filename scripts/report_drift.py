@@ -31,7 +31,9 @@ binary sign-table format, and the CSV of S_d for lambda at d = 2 to
 two limbs).  Each prints "identical" when the two files match byte for
 byte, and otherwise the first byte offset where they differ.
 
-The exit status is 0 when the enrichment, every report and every
+Under the verdicts it prints the line count of each tree's
+`liouconv/*.py`, so the size of the code and its drift come from one
+run.  The exit status is 0 when the enrichment, every report and every
 exact artifact are identical, and 1 when anything moved, so
 byte-identity can be checked by exit status alone.
 
@@ -226,6 +228,12 @@ def compare_enrichment(old, new):
     return f"zeta'(rho) {moves[0]}, zeta(2 rho) {moves[1]}"
 
 
+def count_lines(src):
+    """Total line count of the package modules under one src directory."""
+    return sum(len(path.read_text().splitlines())
+               for path in sorted(Path(src, "liouconv").glob("*.py")))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_src", help="src directory of the old tree")
@@ -254,6 +262,8 @@ def main(argv=None):
                 *[(out / name).read_bytes() for out in outs])
     for name, line in lines.items():
         print(f"{name:<{width}}  {line}")
+    print(f"{'src lines':<{width}}  old {count_lines(args.old_src)}, "
+          f"new {count_lines(args.new_src)}")
     return 0 if all(line == "identical" for line in lines.values()) else 1
 
 

@@ -5,8 +5,9 @@ where v is the Liouville or Moebius function.  The exact integers come
 from d-1 certified FFT folds (``convolve_fft``), each rounded, certified
 and stored in one pass per block; ``convolve_naive`` is the time-domain
 oracle.  ``cesaro_sum`` evaluates the Cesaro sum
-(1/(d-1)!) sum S_d(n) (x-n)^{d-1}; ``cesaro_prefix`` gives the d=2 one
-from the sieve's prefix sums alone, with no fold.
+(1/(d-1)!) sum S_d(n) (x-n)^{d-1}, rounded once from its exact value;
+``cesaro_prefix`` gives the d=2 one from the sieve's prefix sums alone,
+with no fold.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -198,20 +200,30 @@ def convolve_fft(table: SieveTable, d: int, limit: int) -> ConvolutionSeries:
 
 
 def cesaro_sum(series: ConvolutionSeries, x) -> float:
-    """(1/(d-1)!) sum_{n<=x} S_d(n) (x-n)^{d-1}.
+    """(1/(d-1)!) sum_{n<=x} S_d(n) (x-n)^{d-1}, the exact value rounded
+    once.
 
     For d=2 this is the first Cesaro average C(x) of the convolution.
-    Accumulated with math.fsum: the identity tests compare this against
-    an exact integral at 1e-9 scale, so ordinary dot-product rounding is
-    not acceptable.
+    Expanding (x-n)^{d-1} binomially gives
+    sum_k C(d-1, k) x^{d-1-k} M_k / (d-1)!, with the integer moments
+    M_k = sum_{n<=x} S_d(n) (-n)^k for k < d.  Every partial sum of every
+    moment is at most X^{d-1} sum |S_d(n)| in size, X = floor(x); while
+    that bound stays below 2^62 the moments are int64 sums, and past it
+    Python integer sums.  They are combined with x as an exact rational.
     """
     x = _check_x(x, series.limit, "cesaro_sum")
-    top = int(math.floor(x))
-    if top < series.d:
+    top, d = int(math.floor(x)), series.d
+    if top < d:
         return 0.0
-    n = np.arange(series.d, top + 1, dtype=np.float64)
-    terms = series.values[series.d:top + 1] * (x - n) ** (series.d - 1)
-    return math.fsum(terms) / math.factorial(series.d - 1)
+    s = series.values[d:top + 1]
+    minus_n = -np.arange(d, top + 1, dtype=np.int64)
+    mass = float(np.abs(s).sum(dtype=np.float64)) * float(top) ** (d - 1)
+    if mass >= 2.0 ** 62:
+        s, minus_n = s.astype(object), minus_n.astype(object)
+    x = Fraction(x)
+    total = sum(math.comb(d - 1, k) * x ** (d - 1 - k)
+                * int((s * minus_n ** k).sum()) for k in range(d))
+    return float(total / math.factorial(d - 1))
 
 
 def _check_x(x, limit, name):

@@ -15,10 +15,13 @@ separately so they can be laid against sieved ground truth.
 Realness and closure.  Zeros enter in conjugate pairs, so a sum that is
 real in exact arithmetic is computed as term(rho) + term(conj rho) per
 positive ordinate, which collapses to 2 Re term(rho) when the remaining
-parameters are real.  Double sums run over unordered positive-index
-pairs (i <= j) with weight 2 off the diagonal; the two sign patterns
-(rho_i, rho_j) and (rho_i, conj rho_j) then cover all four quadrant
-combinations.  Mixed-sign terms carry a factor that decays like
+parameters are real.  Such a sum is real by construction: it is formed
+from real parts only and its pole terms are real, so its breakdown
+holds Python floats and there is no imaginary part to discard or to
+check.  Double sums run over unordered positive-index pairs (i <= j)
+with weight 2 off the diagonal; the two sign patterns (rho_i, rho_j)
+and (rho_i, conj rho_j) then cover all four quadrant combinations.
+Mixed-sign terms carry a factor that decays like
 exp(-pi min(gamma_i, gamma_j)) and are pruned against a log-magnitude
 bound; same-sign terms decay only polynomially and are always
 evaluated.  pair_terms records how many (pair, pattern) values were
@@ -125,9 +128,9 @@ class ExplicitBreakdown:
     """Term-by-term value of one truncated explicit formula.
 
     total equals main_term + single_sum + double_sum by construction.
-    imag_residue is the largest |Im| discarded when a provably real
-    output was realified, 0.0 when nothing was discarded.  envelope is
-    the error term of the formula evaluated with constant 1 and epsilon
+    The four values are Python floats when the formula is Hermitian
+    (every parameter real) and complex otherwise.  envelope is the
+    error term of the formula evaluated with constant 1 and epsilon
     0.1; it is a reporting scale for residuals, not a certified bound.
     pair_terms counts the (pair, pattern) values evaluated in the
     double sum after pruning.
@@ -140,7 +143,6 @@ class ExplicitBreakdown:
     truncation_T: float
     zeros_used: int
     pair_terms: int
-    imag_residue: float
     envelope: float
 
 
@@ -173,18 +175,12 @@ def _pole_residue(kind):
 
 def _assemble(main, single, double, zs, pairs, envelope, hermitian):
     if hermitian:
-        resid = max(abs(complex(main).imag), abs(complex(single).imag),
-                    abs(complex(double).imag))
-        main = complex(main).real
-        single = complex(single).real
-        double = complex(double).real
-    else:
-        resid = 0.0
-    total = main + single + double
+        main, single, double = (complex(v).real for v in (main, single,
+                                                          double))
     return ExplicitBreakdown(
-        main_term=main, single_sum=single, double_sum=double, total=total,
-        truncation_T=_cut(zs), zeros_used=len(zs), pair_terms=int(pairs),
-        imag_residue=float(resid), envelope=float(envelope))
+        main_term=main, single_sum=single, double_sum=double,
+        total=main + single + double, truncation_T=_cut(zs),
+        zeros_used=len(zs), pair_terms=int(pairs), envelope=float(envelope))
 
 
 def _rho(sign, g):
@@ -453,7 +449,7 @@ def dirichlet_explicit(kind, s, zs):
     does not shrink as zeros are added, so agreement with
     dirichlet_direct is a structural diagnostic rather than a
     convergence statement; envelope reports that bound with constant 1
-    and eps 0.1.  Output is realified only when Im s = 0.
+    and eps 0.1.  The breakdown is real only when Im s = 0.
     """
     _check_kind(kind)
     s = complex(s)

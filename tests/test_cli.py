@@ -425,6 +425,8 @@ _WEIGHTED = ["a", "b", "eta", "power", "d", "direct", "identity_rhs",
      _SWEEP_SUMMARY),
     (["dirichlet", Z, "--limit", "2000", "--s", "3"], _DIRICHLET,
      _SWEEP_SUMMARY),
+    (["dirichlet", Z, "--limit", "2000", "--s", "3,5"], _DIRICHLET,
+     _SWEEP_SUMMARY),
     (["exponential", Z, "--limit", "4000", "--y", "0.1,0.01"],
      ["y", "direct", "main_term", "single_sum", "double_sum", "total",
       "residual", "envelope", "deficit", "truncation_T", "zeros_used"],
@@ -442,9 +444,12 @@ _WEIGHTED = ["a", "b", "eta", "power", "d", "direct", "identity_rhs",
       "residual", "rel_residual"],
      {"rows", "median_rel_residual", "max_rel_residual", "identity_ok"}),
 ], ids=["L", "M", "cesaro", "cesaro-mu", "dfold", "dirichlet", "dirichlet-s3",
-        "exponential", "weighted-zeros", "weighted", "identity"])
+        "dirichlet-s3-5", "exponential", "weighted-zeros", "weighted",
+        "identity"])
 def test_verify_report_schema(tmp_path, cache80, argv, columns, summary):
-    """Each target's CSV columns, in order, and its summary keys."""
+    """Each target's CSV columns, in order, and its summary keys.  Every
+    zero target exits 0 and reports max_relative_imag as 0.0: its sums
+    are formed from real parts, so there is nothing to discard."""
     argv = [a for arg in argv for a in (["--zeros", cache80] if arg is Z
                                         else [arg])]
     report = tmp_path / "report.csv"
@@ -452,6 +457,7 @@ def test_verify_report_schema(tmp_path, cache80, argv, columns, summary):
     head, got = _summary_block(report.read_text())
     assert head.splitlines()[0].split(",") == columns
     assert set(got) == summary
+    assert got.get("max_relative_imag", "0.0") == "0.0"
 
 
 def test_default_artifact_names(tmp_path, monkeypatch):

@@ -147,6 +147,22 @@ def test_cesaro_sum_matches_direct_loop(rng):
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-9)
 
 
+@pytest.mark.parametrize("kind", [sieve.KIND_LIOUVILLE, sieve.KIND_MOEBIUS])
+@pytest.mark.parametrize("d", [2, 3, 4, 9])
+def test_cesaro_sum_is_the_exact_sum_rounded_once(rng, kind, d):
+    """At fractional x, cesaro_sum is the exact Fraction sum rounded once.
+    At d = 9 the moments pass the int64 bound and are Python integers."""
+    limit = 600
+    series = convolve.convolve_fft(sieve.build_sieve(kind, limit), d, limit)
+    vals = [int(v) for v in series.values]
+    for x in rng.uniform(d, limit, 6).tolist() + [limit - 0.25]:
+        xf = Fraction(x)
+        exact = sum((vals[n] * (xf - n) ** (d - 1)
+                     for n in range(d, int(x) + 1)), Fraction(0))
+        want = float(exact / math.factorial(d - 1))
+        assert convolve.cesaro_sum(series, x) == want, x
+
+
 def test_cesaro_sum_edges():
     table = sieve.build_sieve(sieve.KIND_LIOUVILLE, 100)
     series = convolve.convolve_fft(table, 2, 100)
