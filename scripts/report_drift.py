@@ -17,12 +17,13 @@ sieve tables span several segments) in its own interpreter, against
 one shared 80-zero cache made by the new tree, inside a temporary
 directory.  For each case the script prints "identical" when the two
 CSV reports match byte for byte.  Otherwise it prints each moved
-column with its largest |change| over max(1, |main|, |single|,
+float column with its largest |change| over max(1, |main|, |single|,
 |double|, |direct|, |total|) of the row (the old tree's values), each
-summary key only the new or only the old report has as "summary +key"
-or "summary -key", each moved shared summary key with |change| over
-max(1, |old|), "changed" for any other value that is not a float, and
-"header differs" when the columns or the row count differ.
+moved integer column as old→new at its largest |change|, each summary
+key only the new or only the old report has as "summary +key" or
+"summary -key", each moved shared summary key the same way with floats
+scaled by max(1, |old|), "changed" for any other value, and "header
+differs" when the columns or the row count differ.
 
 Each tree also writes the exact side's artifacts in a fresh
 interpreter: the lambda table to 1e7 and the mu table to 3e6 in the
@@ -166,6 +167,36 @@ def _is_float_text(text):
     return _float(text) is not None and not text.lstrip("-").isdigit()
 
 
+def _is_int_text(text):
+    return text.lstrip("-").isdigit()
+
+
+def _record(moved, key, a, b, scale):
+    """Fold one moved value into moved[key]: the largest float move over
+    scale, the (old, new) integers with the largest |change|, or
+    "changed" once a value is neither or the kinds mix."""
+    prev = moved.get(key)
+    if prev == "changed":
+        return
+    if _is_float_text(a) and _is_float_text(b) and not isinstance(prev,
+                                                                  tuple):
+        moved[key] = max(prev or 0.0, abs(float(b) - float(a)) / scale)
+    elif _is_int_text(a) and _is_int_text(b) and not isinstance(prev, float):
+        pair = (int(a), int(b))
+        if prev is None or abs(pair[1] - pair[0]) > abs(prev[1] - prev[0]):
+            moved[key] = pair
+    else:
+        moved[key] = "changed"
+
+
+def _note(key, move):
+    if isinstance(move, float):
+        return f"{key} {move:.2e}"
+    if isinstance(move, tuple):
+        return f"{key} {move[0]}→{move[1]}"
+    return f"{key} {move}"
+
+
 def _row_scale(header, row):
     vals = [abs(_float(v)) for k, v in zip(header, row)
             if k.startswith(SCALE_PREFIXES) and _float(v) is not None]
@@ -186,25 +217,14 @@ def compare(old_text, new_text):
     for r0, r1 in zip(rows0, rows1):
         scale = _row_scale(h0, r0)
         for key, a, b in zip(h0, r0, r1):
-            if a == b:
-                continue
-            if not (_is_float_text(a) and _is_float_text(b)):
-                moved[key] = "changed"
-                continue
-            rel = abs(float(b) - float(a)) / scale
-            if moved.get(key) != "changed":
-                moved[key] = max(moved.get(key, 0.0), rel)
+            if a != b:
+                _record(moved, key, a, b, scale)
     for key in sorted(sum0.keys() & sum1.keys()):
         a, b = sum0[key], sum1[key]
-        if a == b:
-            continue
-        if _is_float_text(a) and _is_float_text(b):
-            rel = abs(float(b) - float(a)) / max(1.0, abs(float(a)))
-            moved[f"summary {key}"] = rel
-        else:
-            moved[f"summary {key}"] = "changed"
-    notes += [f"{k} {v:.2e}" if isinstance(v, float) else f"{k} {v}"
-              for k, v in moved.items()]
+        if a != b:
+            scale = max(1.0, abs(_float(a) or 0.0))
+            _record(moved, f"summary {key}", a, b, scale)
+    notes += [_note(k, v) for k, v in moved.items()]
     return ", ".join(notes)
 
 

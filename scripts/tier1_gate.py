@@ -10,9 +10,9 @@ and exits 0 only when the failed set is exactly acceptance criteria 3, 9
 and 10, the three that fail by design (see README "Tests").  Any other
 failed or erroring test, a passing criterion 3, 9 or 10, or a pytest
 run that did not finish (collection or internal error) exits 1.  The
-script prints pytest's closing summary line, the verdict lines of the
-three criteria, with their measured numbers, and every unexpected
-failure.
+script prints pytest's closing summary line, its five slowest tests
+(``--durations=5``), the verdict lines of the three criteria, with
+their measured numbers, and every unexpected failure.
 
     python scripts/tier1_gate.py
 """
@@ -28,6 +28,7 @@ EXPECTED = {3, 9, 10}
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)_")
 _VERDICT = re.compile(r"criterion +(\d+): (PASS|FAIL) - ")
 _RESULT = re.compile(r"^(FAILED|ERROR) (\S+)")
+_DURATION = re.compile(r"^\d+\.\d+s (call|setup|teardown) ")
 
 
 def main():
@@ -36,7 +37,7 @@ def main():
         [str(ROOT / "src")] + ([env["PYTHONPATH"]]
                                if env.get("PYTHONPATH") else []))
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-rfE",
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "--durations=5",
          "--continue-on-collection-errors"],
         cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True)
@@ -56,6 +57,9 @@ def main():
                 if (m := _VERDICT.match(line))}
 
     print(lines[-1] if lines else "pytest printed nothing")
+    for line in lines:
+        if _DURATION.match(line):
+            print(f"slowest: {line}")
     for index in sorted(EXPECTED):
         print(verdicts.get(index, f"criterion {index:2d}: no verdict line"))
     for line in unexpected:

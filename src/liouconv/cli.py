@@ -31,7 +31,7 @@ key.  Precedence is flags, then the config file, then built-in
 defaults.  A config-file key the command does not read keeps its
 default; the manifest lists it with its file value under
 ``ignored_config``.  ``main`` returns the exit code, argparse's included:
-0 success, 1 hard invariant violation, 2 usage or input error.
+0 success, 1 hard invariant violation, 2 usage, input or output error.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import platform
 import sys
 import time
@@ -54,6 +55,7 @@ __all__ = ["RunConfig", "UsageError", "main"]
 
 _IDENTITY_SEED = 0x5eed
 _REL_IDENTITY_TOL = 1e-8
+_EXPONENTIAL_YS = (0.1, 0.05, 0.02, 0.01)    # verify exponential without --y
 
 
 class UsageError(Exception):
@@ -222,7 +224,7 @@ def _make_config(args):
             (merged if key in reads else ignored)[key] = file_cfg[key]
     if args.command == "verify":
         merged.setdefault("limit", _VERIFY[args.target][2])
-    fmt = merged.get("format", "csv")
+    fmt = merged.get("format", RunConfig.format)
     if fmt not in ("csv", "json"):
         raise UsageError(f"--format must be csv or json, got {fmt!r}")
     cfg = RunConfig(command=args.command,
@@ -246,6 +248,9 @@ def _validate(cfg):
         raise UsageError("--count needs --zeros")
     if cfg.d is not None and cfg.d < 2:
         raise UsageError("--d must be at least 2")
+    if cfg.output is not None and not os.path.isdir(
+            os.path.dirname(cfg.output) or "."):
+        raise UsageError(f"--output {cfg.output}: no such directory")
 
     if cfg.command in ("sieve", "convolve") and cfg.limit is None:
         raise UsageError(f"{cfg.command} needs --limit")
@@ -263,7 +268,7 @@ def _validate(cfg):
         if not cfg.s.real > 1.0 + 1e-6:
             raise UsageError("verify dirichlet needs Re s > 1 + 1e-6")
     if target == "exponential":
-        ys = cfg.y or (0.1, 0.05, 0.02, 0.01)
+        ys = cfg.y or _EXPONENTIAL_YS
         if cfg.limit * min(ys) < 20.0:
             raise UsageError(
                 f"exponential tails need limit*y >= 20; limit {cfg.limit} "
@@ -465,7 +470,7 @@ def _run_dirichlet(cfg, kind, zset):
 
 
 def _run_exponential(cfg, kind, zset):
-    ys = cfg.y or (0.1, 0.05, 0.02, 0.01)
+    ys = cfg.y or _EXPONENTIAL_YS
     series = convolve.convolve_fft(sieve.build_sieve(kind, cfg.limit), 2,
                                    cfg.limit)
     cols, summary = _sweep(
@@ -784,7 +789,7 @@ def main(argv=None):
         return _COMMANDS[cfg.command][0](cfg)
     except SystemExit as exc:     # argparse's usage errors and --help
         return exc.code
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:     # OSError: an unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -40,8 +40,8 @@ two residue points:
     single = 2a * sum over z = rho, conj rho of c(z) Gamma(z) K(z + 1/2),
     double = sum of c(z1) c(z2) Gamma(z1) Gamma(z2) K(z1 + z2).
 
-A formula supplies only F (through factor), the shift, a bound on
-log |F| for the double sum and its envelope; _expand does the rest.
+A formula supplies only F (through factor), the shift, a number bounding
+log |F| on Re w = 1 and its envelope; _expand does the rest.
 The exponential kernel y^(-w) is multiplicative instead, so that
 expansion is the square of one factor, a y^(-1/2) + sum c(z) Gamma(z) y^(-z).
 
@@ -157,20 +157,14 @@ def _cut(zs):
     return zs.t_max if len(zs) else 1.0
 
 
-def _coefficients(kind, zs):
-    """c(rho) per zero: zeta(2 rho)/zeta'(rho) for liouville,
-    1/zeta'(rho) for moebius."""
+def _residues(kind, zs):
+    """(a, c): the residue a = Gamma(1/2) / (2 zeta(1/2)) of D(s) Gamma(s)
+    at s = 1/2 (None for moebius, whose D has no pole there), and c(rho)
+    per zero: zeta(2 rho)/zeta'(rho) for liouville, else 1/zeta'(rho)."""
     if kind == KIND_LIOUVILLE:
-        return zs.z2rhos / zs.zprimes
-    return 1.0 / zs.zprimes
-
-
-def _pole_residue(kind):
-    """a = Gamma(1/2) / (2 zeta(1/2)), the residue of D(s) Gamma(s) at
-    s = 1/2; None for moebius, whose D(s) has no pole there."""
-    if kind == KIND_LIOUVILLE:
-        return math.sqrt(math.pi) / (2.0 * specfun.zeta_half())
-    return None
+        return (math.sqrt(math.pi) / (2.0 * specfun.zeta_half()),
+                zs.z2rhos / zs.zprimes)
+    return None, 1.0 / zs.zprimes
 
 
 def _assemble(main, single, double, zs, pairs, envelope, hermitian):
@@ -181,10 +175,6 @@ def _assemble(main, single, double, zs, pairs, envelope, hermitian):
         main_term=main, single_sum=single, double_sum=double,
         total=main + single + double, truncation_T=_cut(zs),
         zeros_used=len(zs), pair_terms=int(pairs), envelope=float(envelope))
-
-
-def _rho(sign, g):
-    return 0.5 + 1j * sign * g
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +194,8 @@ def _pair_layout(count):
 def _log_kernel(gammas, s1, s2, ci, cj, shift):
     """z = z1 + z2 and log Gamma(z1) + log Gamma(z2) - log Gamma(z + shift)
     at z1 = 1/2 + s1*i*gamma[ci], z2 = 1/2 + s2*i*gamma[cj]."""
-    z1 = _rho(s1, gammas[ci])
-    z2 = _rho(s2, gammas[cj])
+    z1 = 0.5 + 1j * s1 * gammas[ci]
+    z2 = 0.5 + 1j * s2 * gammas[cj]
     z = z1 + z2
     return z, (specfun.log_gamma(z1) + specfun.log_gamma(z2)
                - specfun.log_gamma(z + shift))
@@ -218,114 +208,88 @@ def _pattern_terms(gammas, coeff, shift, factor, s1, s2, ci, cj):
     return c1 * c2 * factor(*_log_kernel(gammas, s1, s2, ci, cj, shift))
 
 
-def _pair_total(gammas, coeff, shift, factor, log_factor_bound, parts,
-                hermitian):
+def _pair_total(gammas, coeff, shift, factor, log_bound, parts, hermitian):
     """The double sum over all zeros below the cut.
 
     Sums c(z1) c(z2) Gamma(z1) Gamma(z2) / Gamma(z1 + z2 + shift) F(z)
-    over z1 = 1/2 +- i gamma_i, z2 = 1/2 +- i gamma_j and z = z1 + z2.
-    coeff holds c(rho) per zero.  factor(z, log_kernel) returns
-    exp(log_kernel) F(z), where log_kernel is the log of the Gamma
-    ratio, so a power x^z can share its one exponential.
-    log_factor_bound(t) bounds log |F(z)| from above at Re z = 1,
-    Im z = t; with the closed-form size of the Gamma ratio it skips
-    mixed-sign pairs below PRUNE_EPS times the largest of 1 and the
+    over z1 = 1/2 +- i gamma_i, z2 = 1/2 +- i gamma_j and z = z1 + z2,
+    with c(rho) per zero in coeff.  factor(z, log_kernel) returns
+    exp(log_kernel) F(z), log_kernel being the log of the Gamma ratio,
+    so a power x^z can share its one exponential.  hermitian means
+    F(conj z) == conj F(z), true whenever every other parameter of the
+    formula is real; then only the sign patterns (+, +) and (+, -) are
+    evaluated, each doubled in real part.  Same-sign patterns are
+    evaluated in full.  A mixed-sign term is skipped when the closed-form
+    size of its Gamma ratio times exp(log_bound), a bound on |F| at
+    Re z = 1, is below PRUNE_EPS times the largest of 1 and the
     magnitudes in parts (the formula's main and single terms).
-    hermitian means F(conj z) == conj F(z), true whenever every other
-    parameter of the formula is real; then only (+, +) and (+, -) are
-    evaluated and doubled in real part.
 
     Returns (total, evaluated_pattern_count).  Pairs are evaluated in
     chunks of _CHUNK to bound memory; the total is one exactly rounded
     sum, so it does not depend on the pair order.
     """
-    count = gammas.size
-    if count == 0:
-        return 0j, 0
-    ii, jj = _pair_layout(count)
+    ii, jj = _pair_layout(gammas.size)
     weight = np.where(ii == jj, 1.0, 2.0)
     npairs = ii.size
     scale = max([abs(complex(p)) for p in parts] + [1.0])
     prune_log = math.log(PRUNE_EPS * scale)
     logc = np.log(np.abs(coeff))
     log_half = specfun.log_gamma_abs_half_line(gammas)
-    patterns = ((+1, -1),) if hermitian else ((+1, -1), (-1, +1))
+    patterns = (((+1, +1), (+1, -1)) if hermitian
+                else ((+1, +1), (-1, -1), (+1, -1), (-1, +1)))
 
-    combined = np.empty(npairs, dtype=np.complex128)
+    combined = np.zeros(npairs, dtype=np.complex128)
     evaluated = 0
     for lo in range(0, npairs, _CHUNK):
         hi = min(lo + _CHUNK, npairs)
-        ci = ii[lo:hi]
-        cj = jj[lo:hi]
-        vals = _pattern_terms(gammas, coeff, shift, factor, +1, +1, ci, cj)
-        evaluated += hi - lo
-        if hermitian:
-            vals = 2.0 * vals.real + 0j
-        else:
-            vals = vals + _pattern_terms(gammas, coeff, shift, factor,
-                                         -1, -1, ci, cj)
-            evaluated += hi - lo
+        ci, cj = ii[lo:hi], jj[lo:hi]
         shared = logc[ci] + logc[cj] + log_half[ci] + log_half[cj]
+        vals = combined[lo:hi]
         for s1, s2 in patterns:
-            imag = s1 * gammas[ci] + s2 * gammas[cj]
-            bound = (shared
-                     - specfun.log_gamma_abs_lower_bound(1.0 + shift, imag)
-                     + log_factor_bound(imag))
-            keep = bound >= prune_log
-            kept = int(np.count_nonzero(keep))
-            if not kept:
+            keep = slice(None)
+            if s1 != s2:
+                imag = s1 * gammas[ci] + s2 * gammas[cj]
+                keep = shared - specfun.log_gamma_abs_lower_bound(
+                    1.0 + shift, imag) + log_bound >= prune_log
+            ki, kj = ci[keep], cj[keep]
+            if not ki.size:
                 continue
-            part = np.zeros(hi - lo, dtype=np.complex128)
-            part[keep] = _pattern_terms(gammas, coeff, shift, factor,
-                                        s1, s2, ci[keep], cj[keep])
-            vals = vals + (2.0 * part.real if hermitian else part)
-            evaluated += kept
-        combined[lo:hi] = vals
+            terms = _pattern_terms(gammas, coeff, shift, factor,
+                                   s1, s2, ki, kj)
+            vals[keep] += 2.0 * terms.real if hermitian else terms
+            evaluated += ki.size
     return blocked_sum(weight * combined), evaluated
 
 
 # ---------------------------------------------------------------------------
-# single-sum engine and the residue expansion
-
-
-def _single_total(rhos, coeff, shift, factor, hermitian):
-    """The single sum of c(z) Gamma(z) K(z + 1/2) over z = rho, conj rho.
-
-    The m = 1 twin of _pair_total, with the same factor(w, log_kernel)
-    contract: w = z + 1/2, the point the pole residue pairs with, and
-    log_kernel = log Gamma(z) - log Gamma(w + shift).  hermitian
-    evaluates z = rho only and doubles the real part.
-    """
-    def terms(z, c):
-        w = z + 0.5
-        return c * factor(w, specfun.log_gamma(z)
-                          - specfun.log_gamma(w + shift))
-
-    plus = terms(rhos, coeff)
-    if hermitian:
-        return blocked_sum(2.0 * plus.real)
-    return blocked_sum(plus + terms(np.conj(rhos), np.conj(coeff)))
+# the residue expansion
 
 
 def _expand(kind, zs, shift, factor, log_bound, envelope, hermitian=True,
             pair_shift=None, boundary=None):
     """The two-factor residue expansion over every zero of zs.
 
-    main = a^2 K(1), single = 2a times the single sum (both 0.0 for
-    moebius, which has no pole residue a) and the double sum, with
-    K(w) = F(w) / Gamma(w + shift) given through the factor(w, log_kernel)
-    contract of _pair_total.  The pair sum divides by Gamma(w + pair_shift)
-    (pair_shift defaults to shift) and prunes with log_bound; boundary,
-    when given, joins main first and so counts toward the pruning scale.
+    K(w) = F(w) / Gamma(w + shift) comes through the factor(w, log_kernel)
+    contract of _pair_total.  main = a^2 K(1) and single = 2a times the
+    sum of c(z) Gamma(z) K(z + 1/2) over z = rho, conj rho (hermitian:
+    z = rho, doubled in real part), both 0.0 for moebius, which has no
+    pole residue a.  The double sum divides by Gamma(w + pair_shift)
+    (pair_shift defaults to shift) and prunes with the number log_bound;
+    boundary, when given, joins main first and so counts toward the
+    pruning scale.
     """
-    rhos = zs.rhos
-    coeff = _coefficients(kind, zs)
-    a = _pole_residue(kind)
+    a, coeff = _residues(kind, zs)
     main, single = 0.0, 0.0
     if a is not None:
         main = a * a * complex(factor(1.0, -specfun.log_gamma(1.0 + shift)))
-        single = 2.0 * a * _single_total(rhos, coeff, shift, factor,
-                                         hermitian)
+        z, c = zs.rhos, coeff
+        if not hermitian:       # one row for z = rho, one for conj rho
+            z, c = np.stack((z, z.conj())), np.stack((c, c.conj()))
+        w = z + 0.5
+        terms = c * factor(w, specfun.log_gamma(z)
+                           - specfun.log_gamma(w + shift))
+        single = 2.0 * a * blocked_sum(
+            2.0 * terms.real if hermitian else terms.sum(axis=0))
     if boundary is not None:
         main = complex(main) + boundary
     double, pairs = _pair_total(
@@ -371,9 +335,9 @@ def explicit_summatory(kind, x, zs):
     if not x > 0.0:
         raise ValueError("x must be positive")
     rhos = zs.rhos
-    a = _pole_residue(kind)
+    a, coeff = _residues(kind, zs)
     main = -2.0 if a is None else a * math.sqrt(x) / math.gamma(1.5) + 1.0
-    terms = _coefficients(kind, zs) / rhos * np.exp(rhos * math.log(x))
+    terms = coeff / rhos * np.exp(rhos * math.log(x))
     single = blocked_sum(2.0 * terms.real)
     envelope = 1.0 + x * (abs(math.log(x)) + 1.0) / _cut(zs)
     return _assemble(main, single, 0.0, zs, 0, envelope, hermitian=True)
@@ -416,7 +380,7 @@ def explicit_cesaro(kind, x, zs, d=2):
     else:
         tail = x ** (d - 2 + ENV_EPS)
     envelope = x ** (d - 0.5 + ENV_EPS) + tail
-    return _expand(kind, zs, d, factor, lambda t: d * lx, envelope)
+    return _expand(kind, zs, d, factor, d * lx, envelope)
 
 
 # ---------------------------------------------------------------------------
@@ -460,11 +424,11 @@ def dirichlet_explicit(kind, s, zs):
     def factor(w, log_kernel):
         return pref * np.exp(log_kernel) / (w - s)
 
-    log_pref = math.log(abs(pref))
-    return _expand(
-        kind, zs, 2.0, factor,
-        lambda t: log_pref - np.log(np.hypot(s.real - 1.0, t - s.imag)),
-        abs(pref) / (s.real - 0.5 - ENV_EPS), hermitian=s.imag == 0.0)
+    # |w - s| >= Re s - 1 on Re w = 1
+    return _expand(kind, zs, 2.0, factor,
+                   math.log(abs(pref) / (s.real - 1.0)),
+                   abs(pref) / (s.real - 0.5 - ENV_EPS),
+                   hermitian=s.imag == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +467,9 @@ def exponential_explicit(kind, y, zs):
     if y <= 0.0:
         raise ValueError("y must be positive")
     rhos = zs.rhos
-    inner = blocked_sum(2.0 * (_coefficients(kind, zs) * np.exp(
+    a, coeff = _residues(kind, zs)
+    inner = blocked_sum(2.0 * (coeff * np.exp(
         specfun.log_gamma(rhos) - rhos * math.log(y))).real)
-    a = _pole_residue(kind)
     main, single = 0.0, 0.0
     if a is not None:
         pole = a * y ** -0.5
@@ -541,7 +505,7 @@ def double_series_diagnostic(zs, k, coeff_kind, K):
     if k <= 0.5:
         raise ValueError("absolute convergence needs k > 1/2")
     gam = zs.gammas[:K]
-    cabs = np.abs(_coefficients(coeff_kind, zs)[:K])
+    cabs = np.abs(_residues(coeff_kind, zs)[1][:K])
     shift = 1.0 + k
     # i <= j, so the pairs of the K'-zero set are those with j < K'
     ii, jj = _pair_layout(K)
@@ -800,5 +764,5 @@ def weighted_average_explicit(wa: WeightedAverage, zs):
     log_bound = (d - 2) * leta + math.log(abs_moment(d))
     envelope = (w.eta ** (d - 1.5 + ENV_EPS) * abs_moment(d - 0.5 + ENV_EPS)
                 + w.eta ** (d - 2) * abs_moment(d - 1))
-    return _expand(wa.table.kind, zs, d, factor, lambda t: log_bound, envelope,
+    return _expand(wa.table.kind, zs, d, factor, log_bound, envelope,
                    pair_shift=2.0, boundary=boundary)

@@ -11,6 +11,8 @@ import pytest
 
 from liouconv import cli, explicit, sieve, specfun, zeros
 
+Z = object()   # stands for --zeros and the 80-zero cache
+
 
 @pytest.fixture(scope="module")
 def cache80(tmp_path_factory):
@@ -91,6 +93,33 @@ def test_subcommands_reject_flags_they_do_not_use(tmp_path, capsys):
                      "--limit", "256", "--trials", "1", "--workers", "2",
                      "--format", "json",
                      "--output", str(tmp_path / "id.json")]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["sieve", "--limit", "100"],
+    ["zeros-enrich", "--zeros", Z],
+    ["verify", "identity", "--limit", "256", "--trials", "1"],
+], ids=["sieve", "zeros-enrich", "verify-identity"])
+def test_unwritable_output_exits_2(tmp_path, monkeypatch, capsys, cache80,
+                                   argv):
+    """An --output in a missing directory is a usage error found before
+    the command does any work; any other OSError while writing the
+    output (here the path is a directory) exits 2 with an error line."""
+    argv = [cache80 if arg is Z else arg for arg in argv]
+    command = argv[0]
+
+    def work(cfg):
+        raise AssertionError(f"{command} ran with an unusable --output")
+
+    with monkeypatch.context() as patch:
+        patch.setitem(cli._COMMANDS, command,
+                      (work,) + cli._COMMANDS[command][1:])
+        missing = tmp_path / "missing" / "out.csv"
+        assert cli.main(argv + ["--output", str(missing)]) == 2
+    assert "error: --output" in capsys.readouterr().err
+    assert cli.main(argv + ["--output", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not missing.parent.exists()
 
 
 @pytest.mark.parametrize("target, samples, message", [
@@ -397,7 +426,6 @@ def test_bench_small_exits_clean(tmp_path):
     assert res["convolve_d2_fft_seconds"] > 0.0
 
 
-Z = object()   # stands for --zeros and the 80-zero cache
 _SWEEP = ["direct", "main_term", "single_sum", "double_sum", "total",
           "residual", "envelope", "truncation_T", "zeros_used", "pair_terms"]
 _SWEEP_SUMMARY = {"rows", "median_residual", "max_residual",

@@ -269,6 +269,41 @@ def test_dirichlet_complex_s_double_sum_brute(zs1000, kind):
     assert bd.pair_terms > 2 * 78
 
 
+@pytest.mark.parametrize("case", ["dirichlet", "cesaro"])
+def test_four_pattern_pair_sum_matches_the_hermitian_one(zs1000, case):
+    """With a Hermitian kernel the four sign patterns, (-, -) and (-, +)
+    included, give the doubled real part of (+, +) and (+, -): the same
+    total, no imaginary part, and twice the evaluated count, since the
+    mixed-sign bound is even in Im z."""
+    zsub = zeros.truncate(zs1000, count=40)
+    kind = sieve.KIND_LIOUVILLE
+    if case == "dirichlet":
+        s = 3.0
+        bd = explicit.dirichlet_explicit(kind, s, zsub)
+
+        def factor(w, log_kernel):
+            return s * (s + 1.0) * np.exp(log_kernel) / (w - s)
+
+        log_bound = math.log(s * (s + 1.0) / (s - 1.0))
+    else:
+        lx = math.log(1e4)
+        bd = explicit.explicit_cesaro(kind, 1e4, zsub)
+
+        def factor(w, log_kernel):
+            return np.exp(log_kernel + (w + 1.0) * lx)
+
+        log_bound = 2.0 * lx
+    coeff = zsub.z2rhos / zsub.zprimes
+    parts = (bd.main_term, bd.single_sum)
+    herm, four = (explicit._pair_total(zsub.gammas, coeff, 2.0, factor,
+                                       log_bound, parts, hermitian)
+                  for hermitian in (True, False))
+    assert herm == (bd.double_sum, bd.pair_terms)
+    assert abs(four[0] - herm[0]) <= 1e-13 * abs(herm[0])
+    assert abs(four[0].imag) <= 1e-13 * abs(four[0])
+    assert four[1] == 2 * herm[1]
+
+
 def _weighted_pair_terms(zsub, coeff, w, d):
     def factor(z):
         e = z + (d - 2.0)
