@@ -23,7 +23,12 @@ moved integer column as old→new at its largest |change|, each summary
 key only the new or only the old report has as "summary +key" or
 "summary -key", each moved shared summary key the same way with floats
 scaled by max(1, |old|), "changed" for any other value, and "header
-differs" when the columns or the row count differ.
+differs" when the columns or the row count differ.  After that
+verdict, joined by "; ", it lists each key of the manifest's
+``config`` and ``ignored_config`` blocks whose value moved (``output``
+aside, whose path differs between the trees) as "config <key> old→new"
+or "ignored_config <key> old→new", with values in JSON and "absent"
+for a missing key.
 
 Each tree also writes the exact side's artifacts in a fresh
 interpreter: the lambda table to 1e7 and the mu table to 3e6 in the
@@ -34,9 +39,10 @@ byte, and otherwise the first byte offset where they differ.
 
 Under the verdicts it prints the line count of each tree's
 `liouconv/*.py`, so the size of the code and its drift come from one
-run.  The exit status is 0 when the enrichment, every report and every
-exact artifact are identical, and 1 when anything moved, so
-byte-identity can be checked by exit status alone.
+run.  The exit status is 0 when the enrichment, every report, every
+manifest's config blocks and every exact artifact are identical, and 1
+when anything moved, a manifest key included, so byte-identity can be
+checked by exit status alone.
 
 Run from the repository root, e.g. against a checkout of the parent
 commit:
@@ -45,6 +51,7 @@ commit:
 """
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -228,6 +235,21 @@ def compare(old_text, new_text):
     return ", ".join(notes)
 
 
+def compare_manifests(old, new):
+    """The moved keys of the config and ignored_config blocks of two
+    manifests, output aside, each as "<block> <key> old→new"."""
+    def show(block, key):
+        return json.dumps(block[key]) if key in block else "absent"
+
+    notes = []
+    for name in ("config", "ignored_config"):
+        a, b = old[name], new[name]
+        for key in sorted((a.keys() | b.keys()) - {"output"}):
+            if show(a, key) != show(b, key):
+                notes.append(f"{name} {key} {show(a, key)}→{show(b, key)}")
+    return notes
+
+
 def compare_bytes(old, new):
     """"identical", or the first byte offset where the files differ."""
     if old == new:
@@ -276,7 +298,10 @@ def main(argv=None):
         lines = {"enrich-10000": compare_enrichment(*enriched)}
         for name in CASES:
             texts = [(out / f"{name}.csv").read_text() for out in outs]
-            lines[name] = compare(*texts)
+            moves = compare_manifests(*[
+                json.loads((out / f"{name}.csv.manifest.json").read_text())
+                for out in outs])
+            lines[name] = "; ".join([compare(*texts)] + moves)
         for name in EXACT:
             lines[name] = compare_bytes(
                 *[(out / name).read_bytes() for out in outs])

@@ -8,28 +8,29 @@ Five subcommands:
   verify        compare direct computations against truncated formulas
   bench         wall-time comparisons and a cross-method hash check
 
-The ``_COMMANDS`` table maps each subcommand to its handler and the
-options its parser declares.  ``verify`` takes one of nine targets: L,
-M, cesaro, cesaro-mu, dfold, dirichlet, exponential, weighted,
-identity.  The ``_VERIFY`` table maps each target to its runner, sign
-kind, default ``--limit``, whether it needs ``--zeros`` and the options
-it reads (any other flag is a usage error).  Every zero target runs
-through one loop, ``_sweep``: L, M, cesaro, cesaro-mu and dfold over
-``--samples`` or the default log grid their runner hands ``_grid``,
-exponential over its y values, dirichlet at its one s and weighted's
-zero half at its one weight.  The zero sums run over every loaded
-zero; ``--count N``, the only cut, keeps the first N of a cache or an
-ordinate file.  Each run writes a report (CSV by default, JSON with
---format json) with one row per sample point and a summary block, plus
-a manifest next to it recording the effective configuration, library
-versions, input checksums, and the report's SHA-256.  Reports carry no
-timestamps and every float is written with shortest-roundtrip repr, so
-the same inputs produce byte identical reports.
+The ``_COMMANDS`` table maps each subcommand to its handler, the
+options its parser declares, their defaults and the options it needs.
+``verify`` takes one of nine targets: L, M, cesaro, cesaro-mu, dfold,
+dirichlet, exponential, weighted, identity; the ``_VERIFY`` table gives
+each its runner, sign kind and the same three columns (a flag outside
+its options is a usage error).  Every zero target runs through one
+loop, ``_sweep``: L, M, cesaro, cesaro-mu and dfold over ``--samples``
+or the default log grid their runner hands ``_grid``, exponential over
+its y values, dirichlet at its one s and weighted's zero half at its
+one weight.  The zero sums run over every loaded zero; ``--count N``,
+the only cut, keeps the first N of a cache or an ordinate file.  Each
+run writes a report (CSV by default, JSON with --format json) with one
+row per sample point and a summary block, plus a manifest next to it
+recording the effective configuration, library versions, input
+checksums, and the report's SHA-256.  Reports carry no timestamps and
+every float is written with shortest-roundtrip repr, so the same
+inputs produce byte identical reports.
 
-Each row of ``_OPTIONS`` is both a flag and a ``--config`` key=value
-key.  Precedence is flags, then the config file, then built-in
-defaults.  A config-file key the command does not read keeps its
-default; the manifest lists it with its file value under
+Each row of ``_OPTIONS`` is a flag, a ``--config`` key=value key and
+the option's least value.  Precedence is flags, then the config file,
+then the row's defaults, so the manifest's ``config`` block holds every
+value the run used.  A config-file key the command does not read keeps
+its default; the manifest lists it with its file value under
 ``ignored_config``.  ``main`` returns the exit code, argparse's included:
 0 success, 1 hard invariant violation, 2 usage, input or output error.
 """
@@ -55,7 +56,7 @@ __all__ = ["RunConfig", "UsageError", "main"]
 
 _IDENTITY_SEED = 0x5eed
 _REL_IDENTITY_TOL = 1e-8
-_EXPONENTIAL_YS = (0.1, 0.05, 0.02, 0.01)    # verify exponential without --y
+_GRID_LO = 10.0     # every default sample grid starts at x = 10
 
 
 class UsageError(Exception):
@@ -140,21 +141,22 @@ def _parse_weight(text):
     return (a, b, eta, power)
 
 
-# key -> (parser, help); each key is a flag and a config-file key
+# key -> (parser, help, least value or None); each key is a flag and a
+# config-file key
 _OPTIONS = {
-    "limit": (_parse_int, "sieve/series length"),
-    "zeros": (str, "zero ordinates file or cache"),
-    "count": (_parse_int, "number of zeros to keep"),
-    "d": (_parse_int, "convolution order"),
-    "s": (_parse_complex, "complex point 're,im'"),
-    "y": (_parse_ys, "comma separated decay parameters"),
-    "samples": (_parse_samples, "grid spec kind:count:lo:hi"),
-    "weight": (_parse_weight, "weight spec a:b:eta[:power]"),
-    "trials": (_parse_int, "randomized trial count"),
-    "output": (str, "report/artifact path"),
-    "format": (str, "report format, csv or json"),
+    "limit": (_parse_int, "sieve/series length", 2),
+    "zeros": (str, "zero ordinates file or cache", None),
+    "count": (_parse_int, "number of zeros to keep", 1),
+    "d": (_parse_int, "convolution order", 2),
+    "s": (_parse_complex, "complex point 're,im'", None),
+    "y": (_parse_ys, "comma separated decay parameters", None),
+    "samples": (_parse_samples, "grid spec kind:count:lo:hi", None),
+    "weight": (_parse_weight, "weight spec a:b:eta[:power]", None),
+    "trials": (_parse_int, "randomized trial count", 1),
+    "output": (str, "report/artifact path", None),
+    "format": (str, "report format, csv or json", None),
     "workers": (_parse_int, "recorded in the manifest; changes neither "
-                            "the results nor the speed"),
+                            "the results nor the speed", 1),
 }
 
 
@@ -202,82 +204,60 @@ def _read_config_file(path):
 
 
 def _make_config(args):
-    """Merge flag values over config-file values over defaults.
+    """Merge flag values over config-file values over the row's defaults.
 
-    Only the options the command reads are merged: for verify the
-    target's options plus workers, output and format, for the other
-    commands the options their parser declares.  A config-file key
-    outside that set keeps its default and lands in ignored_config.
+    The row is the verify target's, else the command's.  Only the
+    options it reads are merged; a config-file key outside them keeps
+    its default and lands in ignored_config.
     """
     file_cfg = _read_config_file(args.config) if args.config else {}
-    reads = (_VERIFY[args.target][4] + ("workers", "output", "format")
-             if args.command == "verify" else _COMMANDS[args.command][2])
+    target = getattr(args, "target", None)
+    row = _VERIFY[target] if target else _COMMANDS[args.command]
+    reads, defaults, needs = row[2:]
     merged = {}
     ignored = {}
     for key in _OPTIONS:
         flag = getattr(args, key, None)
         if flag is not None:
             if key not in reads:
-                raise UsageError(f"verify {args.target} does not use --{key}")
+                raise UsageError(f"verify {target} does not use --{key}")
             merged[key] = flag
         elif key in file_cfg:
             (merged if key in reads else ignored)[key] = file_cfg[key]
-    if args.command == "verify":
-        merged.setdefault("limit", _VERIFY[args.target][2])
     fmt = merged.get("format", RunConfig.format)
     if fmt not in ("csv", "json"):
         raise UsageError(f"--format must be csv or json, got {fmt!r}")
-    cfg = RunConfig(command=args.command,
-                    target=getattr(args, "target", None),
-                    ignored_config=ignored, **merged)
-    _validate(cfg)
+    cfg = RunConfig(command=args.command, target=target,
+                    ignored_config=ignored, **{**defaults, **merged})
+    _validate(cfg, reads, needs)
     return cfg
 
 
-def _validate(cfg):
+def _validate(cfg, reads, needs):
     """Fail fast on anything that would waste a long run."""
-    if cfg.workers < 1:
-        raise UsageError("--workers must be at least 1")
-    if cfg.trials < 1:
-        raise UsageError("--trials must be at least 1")
-    if cfg.limit is not None and cfg.limit < 2:
-        raise UsageError("--limit must be at least 2")
-    if cfg.count is not None and cfg.count < 1:
-        raise UsageError("--count must be at least 1")
+    where = " ".join(filter(None, (cfg.command, cfg.target)))
+    for key, (_, _, least) in _OPTIONS.items():
+        value = getattr(cfg, key)
+        if key in needs and value is None:
+            raise UsageError(f"{where} needs --{key}")
+        if least is not None and value is not None and value < least:
+            raise UsageError(f"--{key} must be at least {least}")
     if cfg.count is not None and cfg.zeros is None:
         raise UsageError("--count needs --zeros")
-    if cfg.d is not None and cfg.d < 2:
-        raise UsageError("--d must be at least 2")
-    if cfg.output is not None and not os.path.isdir(
-            os.path.dirname(cfg.output) or "."):
-        raise UsageError(f"--output {cfg.output}: no such directory")
+    if cfg.output is not None and (os.path.isdir(cfg.output) or not
+            os.path.isdir(os.path.dirname(cfg.output) or ".")):
+        raise UsageError(f"--output {cfg.output}: not a file name in an "
+                         f"existing directory")
 
-    if cfg.command in ("sieve", "convolve") and cfg.limit is None:
-        raise UsageError(f"{cfg.command} needs --limit")
-    if cfg.command == "zeros-enrich" and cfg.zeros is None:
-        raise UsageError("zeros-enrich needs --zeros")
-
-    if cfg.command != "verify":
-        return
-    target = cfg.target
-    if _VERIFY[target][3] and cfg.zeros is None:
-        raise UsageError(f"verify {target} needs --zeros")
-    if target == "dirichlet":
-        if cfg.s is None:
-            raise UsageError("verify dirichlet needs --s re[,im]")
-        if not cfg.s.real > 1.0 + 1e-6:
-            raise UsageError("verify dirichlet needs Re s > 1 + 1e-6")
-    if target == "exponential":
-        ys = cfg.y or _EXPONENTIAL_YS
-        if cfg.limit * min(ys) < 20.0:
-            raise UsageError(
-                f"exponential tails need limit*y >= 20; limit {cfg.limit} "
-                f"with y={min(ys)} falls short")
-    if target == "identity" and cfg.limit < 4:
+    if cfg.s is not None and not cfg.s.real > 1.0 + 1e-6:
+        raise UsageError(f"{where} needs Re s > 1 + 1e-6")
+    if cfg.y is not None and cfg.limit * min(cfg.y) < 20.0:
+        raise UsageError(
+            f"exponential tails need limit*y >= 20; limit {cfg.limit} "
+            f"with y={min(cfg.y)} falls short")
+    if cfg.target == "identity" and cfg.limit < 4:
         raise UsageError("verify identity needs --limit of at least 4")
-    if target == "weighted":
-        if cfg.weight is None:
-            raise UsageError("verify weighted needs --weight a:b:eta[:power]")
+    if cfg.weight is not None:
         a, b, eta, _ = cfg.weight
         need = int(math.floor(eta * b)) + 1
         if need > cfg.limit:
@@ -286,6 +266,10 @@ def _validate(cfg):
                 f"(now {cfg.limit})")
     if cfg.samples is not None and cfg.samples[3] > cfg.limit:
         raise UsageError("sample range exceeds --limit")
+    if "samples" in reads and cfg.samples is None and cfg.limit < _GRID_LO:
+        raise UsageError(
+            f"the default sample grid starts at x = {_GRID_LO:g}, above "
+            f"--limit {cfg.limit}; raise --limit or pass --samples")
 
 
 # ---------------------------------------------------------------------------
@@ -421,25 +405,24 @@ def _grid(cfg, count, lo):
 
 def _run_summatory(cfg, kind, zset):
     table = sieve.build_sieve(kind, cfg.limit)
-    return _sweep("x", _grid(cfg, 50, 10.0),
+    return _sweep("x", _grid(cfg, 50, _GRID_LO),
                   lambda x: sieve.summatory(table, x),
                   lambda x: explicit.explicit_summatory(kind, x, zset))
 
 
 def _run_cesaro(cfg, kind, zset):
     table = sieve.build_sieve(kind, cfg.limit)
-    return _sweep("x", _grid(cfg, 40, max(10.0, cfg.limit / 1000.0)),
+    return _sweep("x", _grid(cfg, 40, max(_GRID_LO, cfg.limit / 1000.0)),
                   functools.partial(convolve.cesaro_prefix, table),
                   lambda x: explicit.explicit_cesaro(kind, x, zset))
 
 
 def _run_dfold(cfg, kind, zset):
-    d = cfg.d or 3
-    series = convolve.convolve_fft(sieve.build_sieve(kind, cfg.limit), d,
+    series = convolve.convolve_fft(sieve.build_sieve(kind, cfg.limit), cfg.d,
                                    cfg.limit)
-    return _sweep("x", _grid(cfg, 20, max(10.0, cfg.limit / 100.0)),
+    return _sweep("x", _grid(cfg, 20, max(_GRID_LO, cfg.limit / 100.0)),
                   functools.partial(convolve.cesaro_sum, series),
-                  lambda x: explicit.explicit_cesaro(kind, x, zset, d=d))
+                  lambda x: explicit.explicit_cesaro(kind, x, zset, d=cfg.d))
 
 
 # complex sweep column -> its real and imaginary report columns
@@ -470,7 +453,7 @@ def _run_dirichlet(cfg, kind, zset):
 
 
 def _run_exponential(cfg, kind, zset):
-    ys = cfg.y or _EXPONENTIAL_YS
+    ys = cfg.y
     series = convolve.convolve_fft(sieve.build_sieve(kind, cfg.limit), 2,
                                    cfg.limit)
     cols, summary = _sweep(
@@ -503,12 +486,11 @@ def _exact_identity(wa, where):
 
 def _run_weighted(cfg, kind, zset):
     a, b, eta, power = cfg.weight
-    d = cfg.d or 2
     wa = explicit.WeightedAverage(
         explicit.PolynomialWeight(a, b, eta, power=power),
-        sieve.build_sieve(kind, cfg.limit), d)
+        sieve.build_sieve(kind, cfg.limit), cfg.d)
     direct, ident, rel = _exact_identity(wa, "weighted run")
-    cols = {"a": [a], "b": [b], "eta": [eta], "power": [power], "d": [d],
+    cols = {"a": [a], "b": [b], "eta": [eta], "power": [power], "d": [cfg.d],
             "direct": [direct], "identity_rhs": [ident],
             "identity_rel_residual": [rel]}
     summary = {"rows": 1, "identity_rel_residual": rel,
@@ -568,25 +550,31 @@ def _run_identity(cfg, _kind, zset):
     return cols, summary
 
 
-_ZEROS = ("zeros", "count")
+_SHARED = ("workers", "output", "format")     # every target reads these
+_ZEROS = ("zeros", "count") + _SHARED
 _SAMPLED = ("limit", "samples") + _ZEROS
 _LAMBDA, _MU = sieve.KIND_LIOUVILLE, sieve.KIND_MOEBIUS
+_AT_10K = {"limit": 10000}
 
-# target -> (runner, sign kind, default --limit, needs --zeros, the
-# options its runner reads)
+# target -> (runner, sign kind, the options its runner reads, their
+# defaults, the options it needs); identity leaves d unset, so its
+# trials alternate d = 2 and 3
 _VERIFY = {
-    "L": (_run_summatory, _LAMBDA, 10000, True, _SAMPLED),
-    "M": (_run_summatory, _MU, 10000, True, _SAMPLED),
-    "cesaro": (_run_cesaro, _LAMBDA, 10000, True, _SAMPLED),
-    "cesaro-mu": (_run_cesaro, _MU, 10000, True, _SAMPLED),
-    "dfold": (_run_dfold, _LAMBDA, 10000, True, _SAMPLED + ("d",)),
-    "dirichlet": (_run_dirichlet, _LAMBDA, 10000, True,
-                  ("limit", "s") + _ZEROS),
-    "exponential": (_run_exponential, _LAMBDA, 10000, True,
-                    ("limit", "y") + _ZEROS),
-    "weighted": (_run_weighted, _LAMBDA, 10000, False,
-                 ("limit", "weight", "d") + _ZEROS),
-    "identity": (_run_identity, None, 4096, False, ("limit", "trials", "d")),
+    "L": (_run_summatory, _LAMBDA, _SAMPLED, _AT_10K, ("zeros",)),
+    "M": (_run_summatory, _MU, _SAMPLED, _AT_10K, ("zeros",)),
+    "cesaro": (_run_cesaro, _LAMBDA, _SAMPLED, _AT_10K, ("zeros",)),
+    "cesaro-mu": (_run_cesaro, _MU, _SAMPLED, _AT_10K, ("zeros",)),
+    "dfold": (_run_dfold, _LAMBDA, _SAMPLED + ("d",),
+              {"limit": 10000, "d": 3}, ("zeros",)),
+    "dirichlet": (_run_dirichlet, _LAMBDA, ("limit", "s") + _ZEROS, _AT_10K,
+                  ("zeros", "s")),
+    "exponential": (_run_exponential, _LAMBDA, ("limit", "y") + _ZEROS,
+                    {"limit": 10000, "y": (0.1, 0.05, 0.02, 0.01)},
+                    ("zeros",)),
+    "weighted": (_run_weighted, _LAMBDA, ("limit", "weight", "d") + _ZEROS,
+                 {"limit": 10000, "d": 2}, ("weight",)),
+    "identity": (_run_identity, None, ("limit", "trials", "d") + _SHARED,
+                 {"limit": 4096}, ()),
 }
 
 
@@ -653,19 +641,18 @@ def _cmd_sieve(cfg):
 
 
 def _cmd_convolve(cfg):
-    d = cfg.d or 2
     table = sieve.build_sieve(sieve.KIND_LIOUVILLE, cfg.limit)
-    series = convolve.convolve_fft(table, d, cfg.limit)
-    out = cfg.output or f"convolution-d{d}.csv"
+    series = convolve.convolve_fft(table, cfg.d, cfg.limit)
+    out = cfg.output or f"convolution-d{cfg.d}.csv"
     convolve.export_csv(series, out)
     digest = hashlib.sha256(series.values.tobytes()).hexdigest()
     manifest = _write_manifest(
         cfg, out, {},
-        results={"kind": series.kind, "d": d, "limit": cfg.limit,
+        results={"kind": series.kind, "d": cfg.d, "limit": cfg.limit,
                  "method": series.method, "fft_length": series.fft_length,
                  "limbs": list(series.limbs), "max_residue": series.residue,
                  "values_sha256": digest})
-    print(f"convolve: d={d} up to {cfg.limit} via {series.method} "
+    print(f"convolve: d={cfg.d} up to {cfg.limit} via {series.method} "
           f"-> {out} (+ {manifest})")
     return 0
 
@@ -689,7 +676,7 @@ def _cmd_zeros_enrich(cfg):
 
 
 def _cmd_bench(cfg):
-    limit = cfg.limit or (1 << 18)
+    limit = cfg.limit
     failures = []
     results = {"machine": platform.platform(),
                "processor": platform.machine(),
@@ -752,17 +739,20 @@ def _cmd_bench(cfg):
 # argument wiring
 
 
-# command -> (handler, help, the options its parser declares)
+# command -> (handler, help, the options its parser declares, their
+# defaults, the options it needs); verify takes the last two from its
+# target's row
 _COMMANDS = {
-    "sieve": (_cmd_sieve, "build and dump a sign table", ("limit", "output")),
+    "sieve": (_cmd_sieve, "build and dump a sign table", ("limit", "output"),
+              {}, ("limit",)),
     "convolve": (_cmd_convolve, "build the d-fold series",
-                 ("limit", "d", "output")),
+                 ("limit", "d", "output"), {"d": 2}, ("limit",)),
     "zeros-enrich": (_cmd_zeros_enrich, "enrich zero ordinates and cache them",
-                     ("zeros", "count", "output")),
+                     ("zeros", "count", "output"), {}, ("zeros",)),
     "verify": (_cmd_verify, "compare direct sums with truncated formulas",
-               tuple(_OPTIONS)),
+               tuple(_OPTIONS), {}, ()),
     "bench": (_cmd_bench, "timing and cross-method checks",
-              ("limit", "output", "format")),
+              ("limit", "output", "format"), {"limit": 1 << 18}, ()),
 }
 
 
@@ -771,12 +761,12 @@ def _build_parser():
         prog="liouconv",
         description="sign-sum convolutions against zeta-zero formulas")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, text, names) in _COMMANDS.items():
+    for command, (_, text, names, _, _) in _COMMANDS.items():
         sp = sub.add_parser(command, help=text)
         if command == "verify":
             sp.add_argument("target", choices=tuple(_VERIFY))
         for name in names:
-            parse, help_text = _OPTIONS[name]
+            parse, help_text, _ = _OPTIONS[name]
             sp.add_argument(f"--{name}", type=parse, help=help_text)
         sp.add_argument("--config", help="key=value defaults file")
     return parser

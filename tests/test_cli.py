@@ -102,9 +102,9 @@ def test_subcommands_reject_flags_they_do_not_use(tmp_path, capsys):
 ], ids=["sieve", "zeros-enrich", "verify-identity"])
 def test_unwritable_output_exits_2(tmp_path, monkeypatch, capsys, cache80,
                                    argv):
-    """An --output in a missing directory is a usage error found before
-    the command does any work; any other OSError while writing the
-    output (here the path is a directory) exits 2 with an error line."""
+    """An --output in a missing directory, or one that names a
+    directory, is a usage error found before the command does any
+    work."""
     argv = [cache80 if arg is Z else arg for arg in argv]
     command = argv[0]
 
@@ -115,10 +115,9 @@ def test_unwritable_output_exits_2(tmp_path, monkeypatch, capsys, cache80,
         patch.setitem(cli._COMMANDS, command,
                       (work,) + cli._COMMANDS[command][1:])
         missing = tmp_path / "missing" / "out.csv"
-        assert cli.main(argv + ["--output", str(missing)]) == 2
-    assert "error: --output" in capsys.readouterr().err
-    assert cli.main(argv + ["--output", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+        for output in (missing, tmp_path):
+            assert cli.main(argv + ["--output", str(output)]) == 2
+            assert "error: --output" in capsys.readouterr().err
     assert not missing.parent.exists()
 
 
@@ -139,6 +138,24 @@ def test_sample_range_meets_the_default_limit(tmp_path, capsys, target,
     assert cli.main(["verify", target, "--zeros", missing,
                      "--samples", samples]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target, limit", [
+    ("L", "5"), ("cesaro", "8"), ("dfold", "9"),
+])
+def test_default_grid_meets_the_limit(tmp_path, capsys, cache80, target,
+                                      limit):
+    """Without --samples the default grid starts at x = 10, so a --limit
+    below 10 is refused before any work: the zeros file named is never
+    opened.  From --limit 10 on the grid fits."""
+    missing = str(tmp_path / "absent.bin")
+    assert cli.main(["verify", target, "--zeros", missing,
+                     "--limit", limit]) == 2
+    assert (f"error: the default sample grid starts at x = 10, above "
+            f"--limit {limit}; raise --limit or pass --samples"
+            in capsys.readouterr().err)
+    assert cli.main(["verify", target, "--zeros", cache80, "--limit", "10",
+                     "--output", str(tmp_path / "r.csv")]) == 0
 
 
 def test_identity_needs_limit_4(tmp_path, capsys):
@@ -390,6 +407,32 @@ def test_config_file_precedence(tmp_path, cache80):
     assert manifest["config"]["limit"] == 900     # from the file
     assert manifest["config"]["trials"] == 2      # flag wins
     assert manifest["ignored_config"] == {}
+
+
+@pytest.mark.parametrize("argv, defaults, flags", [
+    (["verify", "dfold", Z], {"limit": 10000, "d": 3},
+     ["--limit", "10000", "--d", "3"]),
+    (["verify", "weighted", Z, "--weight", "0:2.5:40"],
+     {"limit": 10000, "d": 2}, ["--limit", "10000", "--d", "2"]),
+    (["verify", "exponential", Z],
+     {"limit": 10000, "y": [0.1, 0.05, 0.02, 0.01]},
+     ["--limit", "10000", "--y", "0.1,0.05,0.02,0.01"]),
+    (["convolve", "--limit", "300"], {"d": 2}, ["--d", "2"]),
+], ids=["dfold", "weighted", "exponential", "convolve"])
+def test_row_defaults_reach_the_manifest(tmp_path, cache80, argv, defaults,
+                                         flags):
+    """A run on its row's defaults records them in the manifest's config
+    block, and its report matches, byte for byte, that of a run passing
+    the same values as flags."""
+    argv = [a for arg in argv for a in (["--zeros", cache80] if arg is Z
+                                        else [arg])]
+    reports = [tmp_path / "defaults.csv", tmp_path / "flags.csv"]
+    for extra, report in zip(([], flags), reports):
+        assert cli.main(argv + extra + ["--output", str(report)]) == 0
+    manifest = json.loads(
+        (tmp_path / "defaults.csv.manifest.json").read_text())
+    assert {k: manifest["config"][k] for k in defaults} == defaults
+    assert reports[0].read_bytes() == reports[1].read_bytes()
 
 
 def test_manifest_lists_ignored_config_keys(tmp_path):
