@@ -30,6 +30,15 @@ aside, whose path differs between the trees) as "config <key> old→new"
 or "ignored_config <key> old→new", with values in JSON and "absent"
 for a missing key.
 
+Each tree also runs the other subcommands through ``cli.main`` in the
+same interpreter: `sieve --limit 1000`, `convolve --limit 1000 --d 3`
+and `zeros-enrich` of the 80 bundled ordinates from a shared text
+file.  For each the script prints "identical" when the two artifacts
+match byte for byte (else the first byte offset where they differ),
+then the moved keys of the manifest's ``config`` and ``ignored_config``
+blocks as above and of its ``results`` block as "results <key>
+old→new".  None of these results holds a timing.
+
 Each tree also writes the exact side's artifacts in a fresh
 interpreter: the lambda table to 1e7 and the mu table to 3e6 in the
 binary sign-table format, and the CSV of S_d for lambda at d = 2 to
@@ -39,10 +48,10 @@ byte, and otherwise the first byte offset where they differ.
 
 Under the verdicts it prints the line count of each tree's
 `liouconv/*.py`, so the size of the code and its drift come from one
-run.  The exit status is 0 when the enrichment, every report, every
-manifest's config blocks and every exact artifact are identical, and 1
-when anything moved, a manifest key included, so byte-identity can be
-checked by exit status alone.
+run.  The exit status is 0 when the enrichment, every report and
+artifact, every manifest's config and results blocks and every exact
+artifact are identical, and 1 when anything moved, a manifest key
+included, so byte-identity can be checked by exit status alone.
 
 Run from the repository root, e.g. against a checkout of the parent
 commit:
@@ -61,6 +70,7 @@ from pathlib import Path
 import numpy as np
 
 Z = "@zeros"     # stands for --zeros and the shared 80-zero cache
+ORDS = "@ordinates"     # the shared file of the 80 ordinates
 CASES = {
     "L": ["L", Z, "--limit", "800", "--samples", "log:3:10:800"],
     "M": ["M", Z, "--limit", "800", "--samples", "log:3:10:800"],
@@ -96,6 +106,14 @@ CASES = {
     "M-segments": ["M", Z, "--limit", "3000000",
                    "--samples", "log:5:1000:3000000"],
 }
+# name -> the other subcommands' argv, each ending in its artifact's name
+COMMANDS = {
+    "sieve": ["sieve", "--limit", "1000", "--output", "sieve.bin"],
+    "convolve": ["convolve", "--limit", "1000", "--d", "3",
+                 "--output", "convolve.csv"],
+    "zeros-enrich": ["zeros-enrich", "--zeros", ORDS,
+                     "--output", "zeros-enrich.bin"],
+}
 SCALE_PREFIXES = ("main", "single", "double", "direct", "total")
 # file name -> (kind, d, limit); d = 0 dumps the sign table itself
 EXACT = {
@@ -111,19 +129,22 @@ _CHILD = """
 import sys
 import numpy as np
 from liouconv import cli, zeros
-cache, out, cases = sys.argv[1], sys.argv[2], sys.argv[3:]
+cache, ords, out, cases = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4:]
 if out == "-":
-    zeros.save_cache(zeros.enrich(zeros.bundled_ordinates(80)), cache)
+    gammas = zeros.bundled_ordinates(80)
+    zeros.save_cache(zeros.enrich(gammas), cache)
+    with open(ords, "w") as fh:
+        fh.write("".join(f"{g!r}\\n" for g in gammas))
     sys.exit(0)
 zset = zeros.enrich(zeros.bundled_ordinates())
 np.save(f"{out}/enrich.npy", np.stack([zset.zprimes, zset.z2rhos]))
-for i in range(0, len(cases), 2):
-    name, argv = cases[i], cases[i + 1].split("\\x1f")
-    argv = sum((["--zeros", cache] if a == "@zeros" else [a] for a in argv),
-               [])
-    code = cli.main(["verify"] + argv + ["--output", f"{out}/{name}.csv"])
+for argv in cases:
+    argv = sum((["--zeros", cache] if a == "@zeros" else
+                [ords] if a == "@ordinates" else [a]
+                for a in argv.split("\\x1f")), [])
+    code = cli.main(argv)
     if code:
-        sys.exit(f"verify {name} exited {code}")
+        sys.exit(f"{' '.join(argv)} exited {code}")
 """
 
 # Writes each EXACT artifact ("name:kind:d:limit") into the working
@@ -142,13 +163,13 @@ for item in sys.argv[1:]:
 """
 
 
-def _run_tree(src, cache, out):
+def _run_tree(src, cache, ords, out):
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
-    cases = [item for name, argv in CASES.items()
-             for item in (name, "\x1f".join(argv))]
-    subprocess.run([sys.executable, "-c", _CHILD, str(cache), str(out)]
-                   + cases, env=env, cwd=out, check=True,
-                   stdout=subprocess.DEVNULL)
+    cases = [["verify"] + argv + ["--output", f"{name}.csv"]
+             for name, argv in CASES.items()] + list(COMMANDS.values())
+    subprocess.run([sys.executable, "-c", _CHILD, str(cache), str(ords),
+                    str(out)] + ["\x1f".join(argv) for argv in cases],
+                   env=env, cwd=out, check=True, stdout=subprocess.DEVNULL)
     exact = [f"{name}:{kind}:{d}:{limit}"
              for name, (kind, d, limit) in EXACT.items()]
     subprocess.run([sys.executable, "-c", _EXACT_CHILD] + exact, env=env,
@@ -236,14 +257,14 @@ def compare(old_text, new_text):
 
 
 def compare_manifests(old, new):
-    """The moved keys of the config and ignored_config blocks of two
-    manifests, output aside, each as "<block> <key> old→new"."""
+    """The moved keys of the config, ignored_config and results blocks
+    of two manifests, output aside, each as "<block> <key> old→new"."""
     def show(block, key):
         return json.dumps(block[key]) if key in block else "absent"
 
     notes = []
-    for name in ("config", "ignored_config"):
-        a, b = old[name], new[name]
+    for name in ("config", "ignored_config", "results"):
+        a, b = old.get(name, {}), new.get(name, {})
         for key in sorted((a.keys() | b.keys()) - {"output"}):
             if show(a, key) != show(b, key):
                 notes.append(f"{name} {key} {show(a, key)}→{show(b, key)}")
@@ -283,17 +304,17 @@ def main(argv=None):
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        cache = tmp / "z80.bin"
+        cache, ords = tmp / "z80.bin", tmp / "z80.txt"
         env = dict(os.environ, PYTHONPATH=str(Path(args.new_src).resolve()))
-        subprocess.run([sys.executable, "-c", _CHILD, str(cache), "-"],
-                       env=env, cwd=tmp, check=True)
+        subprocess.run([sys.executable, "-c", _CHILD, str(cache), str(ords),
+                        "-"], env=env, cwd=tmp, check=True)
         outs = []
         for label, src in (("old", args.old_src), ("new", args.new_src)):
             out = tmp / label
             out.mkdir()
-            _run_tree(src, cache, out)
+            _run_tree(src, cache, ords, out)
             outs.append(out)
-        width = max(map(len, [*CASES, *EXACT]))
+        width = max(map(len, [*CASES, *COMMANDS, *EXACT]))
         enriched = [np.load(out / "enrich.npy") for out in outs]
         lines = {"enrich-10000": compare_enrichment(*enriched)}
         for name in CASES:
@@ -302,6 +323,14 @@ def main(argv=None):
                 json.loads((out / f"{name}.csv.manifest.json").read_text())
                 for out in outs])
             lines[name] = "; ".join([compare(*texts)] + moves)
+        for name, argv in COMMANDS.items():
+            artifact = argv[-1]
+            moves = compare_manifests(*[
+                json.loads((out / f"{artifact}.manifest.json").read_text())
+                for out in outs])
+            verdict = compare_bytes(
+                *[(out / artifact).read_bytes() for out in outs])
+            lines[name] = "; ".join([verdict] + moves)
         for name in EXACT:
             lines[name] = compare_bytes(
                 *[(out / name).read_bytes() for out in outs])

@@ -29,9 +29,9 @@ inputs produce byte identical reports.
 Each row of ``_OPTIONS`` is a flag, a ``--config`` key=value key and
 the option's least value.  Precedence is flags, then the config file,
 then the row's defaults, so the manifest's ``config`` block holds every
-value the run used.  A config-file key the command does not read keeps
-its default; the manifest lists it with its file value under
-``ignored_config``.  ``main`` returns the exit code, argparse's included:
+value the run used and None for each option the run does not read.  A
+config-file key the command does not read stays None there; the
+manifest lists it with its file value under ``ignored_config``.  ``main`` returns the exit code, argparse's included:
 0 success, 1 hard invariant violation, 2 usage, input or output error.
 """
 
@@ -174,10 +174,10 @@ class RunConfig:
     y: tuple | None = None
     samples: tuple | None = None
     weight: tuple | None = None
-    trials: int = 20
+    trials: int | None = None
     output: str | None = None
-    format: str = "csv"
-    workers: int = 1
+    format: str | None = None
+    workers: int | None = None
     # config-file keys the command does not read, with their file values
     ignored_config: dict = field(default_factory=dict, compare=False)
 
@@ -224,9 +224,6 @@ def _make_config(args):
             merged[key] = flag
         elif key in file_cfg:
             (merged if key in reads else ignored)[key] = file_cfg[key]
-    fmt = merged.get("format", RunConfig.format)
-    if fmt not in ("csv", "json"):
-        raise UsageError(f"--format must be csv or json, got {fmt!r}")
     cfg = RunConfig(command=args.command, target=target,
                     ignored_config=ignored, **{**defaults, **merged})
     _validate(cfg, reads, needs)
@@ -249,6 +246,8 @@ def _validate(cfg, reads, needs):
         raise UsageError(f"--output {cfg.output}: not a file name in an "
                          f"existing directory")
 
+    if cfg.format not in (None, "csv", "json"):
+        raise UsageError(f"--format must be csv or json, got {cfg.format!r}")
     if cfg.s is not None and not cfg.s.real > 1.0 + 1e-6:
         raise UsageError(f"{where} needs Re s > 1 + 1e-6")
     if cfg.y is not None and cfg.limit * min(cfg.y) < 20.0:
@@ -554,27 +553,27 @@ _SHARED = ("workers", "output", "format")     # every target reads these
 _ZEROS = ("zeros", "count") + _SHARED
 _SAMPLED = ("limit", "samples") + _ZEROS
 _LAMBDA, _MU = sieve.KIND_LIOUVILLE, sieve.KIND_MOEBIUS
-_AT_10K = {"limit": 10000}
+_DEFAULTS = {"limit": 10000, "format": "csv", "workers": 1}
 
 # target -> (runner, sign kind, the options its runner reads, their
-# defaults, the options it needs); identity leaves d unset, so its
-# trials alternate d = 2 and 3
+# defaults, the options it needs); every row sets format and workers,
+# and identity leaves d unset, so its trials alternate d = 2 and 3
 _VERIFY = {
-    "L": (_run_summatory, _LAMBDA, _SAMPLED, _AT_10K, ("zeros",)),
-    "M": (_run_summatory, _MU, _SAMPLED, _AT_10K, ("zeros",)),
-    "cesaro": (_run_cesaro, _LAMBDA, _SAMPLED, _AT_10K, ("zeros",)),
-    "cesaro-mu": (_run_cesaro, _MU, _SAMPLED, _AT_10K, ("zeros",)),
+    "L": (_run_summatory, _LAMBDA, _SAMPLED, _DEFAULTS, ("zeros",)),
+    "M": (_run_summatory, _MU, _SAMPLED, _DEFAULTS, ("zeros",)),
+    "cesaro": (_run_cesaro, _LAMBDA, _SAMPLED, _DEFAULTS, ("zeros",)),
+    "cesaro-mu": (_run_cesaro, _MU, _SAMPLED, _DEFAULTS, ("zeros",)),
     "dfold": (_run_dfold, _LAMBDA, _SAMPLED + ("d",),
-              {"limit": 10000, "d": 3}, ("zeros",)),
-    "dirichlet": (_run_dirichlet, _LAMBDA, ("limit", "s") + _ZEROS, _AT_10K,
+              {**_DEFAULTS, "d": 3}, ("zeros",)),
+    "dirichlet": (_run_dirichlet, _LAMBDA, ("limit", "s") + _ZEROS, _DEFAULTS,
                   ("zeros", "s")),
     "exponential": (_run_exponential, _LAMBDA, ("limit", "y") + _ZEROS,
-                    {"limit": 10000, "y": (0.1, 0.05, 0.02, 0.01)},
+                    {**_DEFAULTS, "y": (0.1, 0.05, 0.02, 0.01)},
                     ("zeros",)),
     "weighted": (_run_weighted, _LAMBDA, ("limit", "weight", "d") + _ZEROS,
-                 {"limit": 10000, "d": 2}, ("weight",)),
+                 {**_DEFAULTS, "d": 2}, ("weight",)),
     "identity": (_run_identity, None, ("limit", "trials", "d") + _SHARED,
-                 {"limit": 4096}, ()),
+                 {**_DEFAULTS, "limit": 4096, "trials": 20}, ()),
 }
 
 
@@ -752,7 +751,8 @@ _COMMANDS = {
     "verify": (_cmd_verify, "compare direct sums with truncated formulas",
                tuple(_OPTIONS), {}, ()),
     "bench": (_cmd_bench, "timing and cross-method checks",
-              ("limit", "output", "format"), {"limit": 1 << 18}, ()),
+              ("limit", "output", "format"),
+              {"limit": 1 << 18, "format": "csv"}, ()),
 }
 
 

@@ -7,12 +7,14 @@ segment starts at -1 (right for primes), and each prime p <= sqrt(b - 1)
 negates values[n / p] into its multiples n in one int8 call.  For mu,
 where mu(n) = -mu(n / p) unless p^2 | n, the multiples of each p^2 < b
 are then zeroed.  No floating point enters the table values.
+
+dump_table writes a table for outside readers; nothing in the package
+reads it back, as build_sieve rebuilds a table at least as fast.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +24,6 @@ __all__ = [
     "build_sieve",
     "summatory",
     "dump_table",
-    "load_table",
     "growth_diagnostic",
     "MEMORY_LIMIT",
 ]
@@ -30,14 +31,13 @@ __all__ = [
 KIND_LIOUVILLE = "liouville"
 KIND_MOEBIUS = "moebius"
 
-# values (int8) + prefix (int64) cost 9 bytes per entry, and the build and
-# the load fill both in place, with no working arrays.  2e8 entries ~ 1.8 GB.
+# values (int8) + prefix (int64) cost 9 bytes per entry, and the build
+# fills both in place, with no working arrays.  2e8 entries ~ 1.8 GB.
 MEMORY_LIMIT = 200_000_000
 
 _SEGMENT = 1 << 20
 
 _MAGIC = {KIND_LIOUVILLE: b"LAMBDATBL", KIND_MOEBIUS: b"MOEBSTBL\x00"}
-_ALLOWED = {KIND_LIOUVILLE: (-1, 1), KIND_MOEBIUS: (-1, 0, 1)}
 _FORMAT_VERSION = 1
 
 
@@ -87,26 +87,12 @@ def _sieve_fill(kind: str, primes: list, values: np.ndarray,
             values[-(-a // q) * q:b:q] = 0
 
 
-def _freeze(kind: str, limit: int, fill) -> SieveTable:
-    """Read-only table from fill(values, a, b), which writes values[a:b]
-    for segments that double from [1, 2) up to _SEGMENT entries (so
-    b <= 2a); the running sums are formed segment by segment."""
-    values = np.zeros(limit + 1, dtype=np.int8)
-    prefix = np.zeros(limit + 1, dtype=np.int64)
-    a = 1
-    while a <= limit:
-        b = min(2 * a, a + _SEGMENT, limit + 1)
-        fill(values, a, b)
-        np.cumsum(values[a:b], dtype=np.int64, out=prefix[a:b])
-        prefix[a:b] += prefix[a - 1]
-        a = b
-    values.setflags(write=False)
-    prefix.setflags(write=False)
-    return SieveTable(kind=kind, limit=limit, values=values, prefix=prefix)
-
-
 def build_sieve(kind: str, limit: int) -> SieveTable:
-    """Build the full table for 1..limit.
+    """Build the full, read-only table for 1..limit.
+
+    Segments [a, b) double from [1, 2) up to _SEGMENT entries, so
+    b <= 2a, and _sieve_fill fills each from the values below it; the
+    running sums are formed segment by segment.
 
     Args:
         kind: "liouville" or "moebius".
@@ -127,8 +113,18 @@ def build_sieve(kind: str, limit: int) -> SieveTable:
             f"sieve.MEMORY_LIMIT explicitly if you have the RAM")
 
     primes = _small_primes(math.isqrt(limit)).tolist()
-    return _freeze(kind, limit, lambda values, a, b:
-                   _sieve_fill(kind, primes, values, a, b))
+    values = np.zeros(limit + 1, dtype=np.int8)
+    prefix = np.zeros(limit + 1, dtype=np.int64)
+    a = 1
+    while a <= limit:
+        b = min(2 * a, a + _SEGMENT, limit + 1)
+        _sieve_fill(kind, primes, values, a, b)
+        np.cumsum(values[a:b], dtype=np.int64, out=prefix[a:b])
+        prefix[a:b] += prefix[a - 1]
+        a = b
+    values.setflags(write=False)
+    prefix.setflags(write=False)
+    return SieveTable(kind=kind, limit=limit, values=values, prefix=prefix)
 
 
 def summatory(table: SieveTable, x) -> int:
@@ -164,7 +160,10 @@ def growth_diagnostic(table: SieveTable) -> float:
 
 
 def dump_table(table: SieveTable, path) -> None:
-    """Write a table as a 16-byte header plus N signed bytes."""
+    """Write a table for outside readers: a 16-byte header (the kind's
+    9-byte magic, format version 1, the limit N as 6 little-endian
+    bytes), then values[1:] as N signed bytes.  Nothing in the package
+    reads the file back."""
     header = (_MAGIC[table.kind]
               + bytes([_FORMAT_VERSION])
               + int(table.limit).to_bytes(6, "little"))
@@ -172,40 +171,3 @@ def dump_table(table: SieveTable, path) -> None:
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(table.values[1:])
-
-
-def load_table(path) -> SieveTable:
-    """Read a table written by dump_table; prefix sums are rebuilt.
-
-    Rejects a bad header, a body shorter or longer than the header's
-    limit, values outside {-1, 1} (lambda) or {-1, 0, 1} (mu), and a
-    value at n = 1 other than 1.  The format has no checksum, so a
-    flipped sign still loads.
-    """
-    with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) != 16:
-            raise ValueError("truncated table file")
-        magic, version = header[:9], header[9]
-        kinds = {v: k for k, v in _MAGIC.items()}
-        if magic not in kinds:
-            raise ValueError(f"bad magic {magic!r}")
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"unsupported table version {version}")
-        kind, limit = kinds[magic], int.from_bytes(header[10:16], "little")
-        body = os.fstat(fh.fileno()).st_size - 16
-        if body != limit:
-            raise ValueError(f"table body has {body} bytes, header says "
-                             f"{limit}")
-
-        def fill(values, a, b):
-            if fh.readinto(values[a:b]) != b - a:
-                raise ValueError("truncated table file")
-            if not np.isin(values[a:b], _ALLOWED[kind]).all():
-                raise ValueError(
-                    f"{kind} table holds a value outside {_ALLOWED[kind]}")
-
-        table = _freeze(kind, limit, fill)
-    if limit < 1 or table.values[1] != 1:
-        raise ValueError("table value at n = 1 must be 1")
-    return table

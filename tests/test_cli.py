@@ -454,8 +454,71 @@ def test_manifest_lists_ignored_config_keys(tmp_path):
     manifest = json.loads((tmp_path / "table.bin.manifest.json").read_text())
     assert manifest["config"]["limit"] == 300
     assert manifest["config"]["d"] is None
-    assert manifest["config"]["format"] == "csv"
+    assert manifest["config"]["format"] is None
     assert manifest["ignored_config"] == {"d": 3, "format": "json"}
+
+
+@pytest.mark.parametrize("argv, echo", [
+    (["verify", "identity", "--limit", "256"],
+     {"trials": 20, "format": "csv", "workers": 1, "zeros": None}),
+    (["verify", "L", Z, "--limit", "800", "--samples", "log:3:10:800"],
+     {"trials": None, "format": "csv", "workers": 1, "d": None}),
+    (["bench", "--limit", "512"],
+     {"trials": None, "format": "csv", "workers": None}),
+    (["sieve", "--limit", "300"],
+     {"trials": None, "format": None, "workers": None}),
+    (["convolve", "--limit", "300"],
+     {"trials": None, "format": None, "workers": None}),
+    (["zeros-enrich", Z], {"trials": None, "format": None, "workers": None}),
+], ids=["identity", "L", "bench", "sieve", "convolve", "zeros-enrich"])
+def test_manifest_echoes_null_for_unread_options(tmp_path, cache80, argv,
+                                                  echo):
+    """Only the options a run reads carry a value in the manifest's
+    config block; trials, format and workers are null elsewhere."""
+    argv = [a for arg in argv for a in (["--zeros", cache80] if arg is Z
+                                        else [arg])]
+    out = tmp_path / "out.bin"
+    assert cli.main(argv + ["--output", str(out)]) == 0
+    manifest = json.loads((tmp_path / "out.bin.manifest.json").read_text())
+    assert {k: manifest["config"][k] for k in echo} == echo
+
+
+@pytest.mark.parametrize("argv, key, least", [
+    (["sieve", "--limit", "1"], "limit", 2),
+    (["zeros-enrich", Z, "--count", "0"], "count", 1),
+    (["verify", "dfold", Z, "--d", "1"], "d", 2),
+    (["verify", "identity", "--trials", "0"], "trials", 1),
+    (["verify", "identity", "--workers", "0"], "workers", 1),
+], ids=["sieve-limit", "zeros-enrich-count", "dfold-d", "identity-trials",
+        "identity-workers"])
+def test_values_below_the_least_exit_2(monkeypatch, capsys, cache80, argv,
+                                       key, least):
+    """A value under its option's least value is a usage error found
+    before the command does any work."""
+    argv = [a for arg in argv for a in (["--zeros", cache80] if arg is Z
+                                        else [arg])]
+
+    def work(cfg):
+        raise AssertionError(f"{argv[0]} ran with --{key} below {least}")
+
+    monkeypatch.setitem(cli._COMMANDS, argv[0],
+                        (work,) + cli._COMMANDS[argv[0]][1:])
+    assert cli.main(argv) == 2
+    assert (f"error: --{key} must be at least {least}"
+            in capsys.readouterr().err)
+
+
+def test_bad_ordinate_file_is_an_input_error(tmp_path, capsys):
+    """A ValueError from reading the inputs exits 2 with "input error:"
+    and leaves no cache behind."""
+    ords = tmp_path / "ordinates.txt"
+    ords.write_text(f"{zeros.bundled_ordinates(1)[0]:.13f}\n13.0\n")
+    out = tmp_path / "cache.bin"
+    assert cli.main(["zeros-enrich", "--zeros", str(ords),
+                     "--output", str(out)]) == 2
+    assert ("input error: line 2: non-monotone ordinate 13.0"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_bench_small_exits_clean(tmp_path):
@@ -538,7 +601,10 @@ def test_default_artifact_names(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["sieve", "--limit", "100"]) == 0
     assert cli.main(["zeros-enrich", "--zeros", str(ords)]) == 0
-    assert sieve.load_table("sieve-table.bin").limit == 100
+    raw = (tmp_path / "sieve-table.bin").read_bytes()
+    assert raw[:16] == b"LAMBDATBL\x01" + (100).to_bytes(6, "little")
+    assert raw[16:] == sieve.build_sieve(sieve.KIND_LIOUVILLE,
+                                         100).values[1:].tobytes()
     assert len(zeros.load_cache("zeros-cache.bin")) == 10
     assert (tmp_path / "sieve-table.bin.manifest.json").exists()
     assert (tmp_path / "zeros-cache.bin.manifest.json").exists()
@@ -554,7 +620,9 @@ def test_sieve_growth_failure_exits_1(tmp_path, monkeypatch, capsys):
     assert cli.main(["sieve", "--limit", "1000",
                      "--output", str(table_path)]) == 1
     assert "invariant failure" in capsys.readouterr().err
-    assert sieve.load_table(table_path).prefix[1000] == 1000
+    raw = table_path.read_bytes()
+    assert raw[10:16] == (1000).to_bytes(6, "little")
+    assert raw[16:] == b"\x01" * 1000
     manifest = json.loads(
         (tmp_path / "table.bin.manifest.json").read_text())
     assert manifest["results"]["growth_diagnostic"] > 3.0

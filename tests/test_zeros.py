@@ -40,6 +40,18 @@ def test_load_ordinates_reports_line_numbers():
         zeros.load_ordinates(io.StringIO("1 14.1 0.5\n"))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("14.1\nabc\n", "line 2: cannot parse 'abc'"),
+    ("1 14.1\ntwo 21.0\n", "line 2: cannot parse 'two 21.0'"),
+    ("14.1\n-21.0\n", "line 2: ordinate must be positive"),
+    ("0.0\n", "line 1: ordinate must be positive"),
+    ("nan\n", "line 1: ordinate must be positive"),
+], ids=["word", "index", "negative", "zero", "nan"])
+def test_load_ordinates_rejects_bad_values(text, message):
+    with pytest.raises(ValueError, match=message):
+        zeros.load_ordinates(io.StringIO(text))
+
+
 def test_enrich_against_mpmath():
     ords = zeros.bundled_ordinates(3) + zeros.bundled_ordinates()[-1:]
     zset = zeros.enrich(ords)
@@ -122,6 +134,29 @@ def test_cache_detects_corruption(tmp_path, zs1000):
     blob[len(blob) // 2] ^= 0xFF
     path.write_bytes(bytes(blob))
     with pytest.raises(ValueError):
+        zeros.load_cache(path)
+
+
+def test_cache_rejects_a_short_file(tmp_path):
+    path = tmp_path / "cache.bin"
+    path.write_bytes(bytes(9 + 1 + 16 + 31))
+    with pytest.raises(ValueError, match="zero cache: file too short"):
+        zeros.load_cache(path)
+
+
+@pytest.mark.parametrize("offset, value, message", [
+    (0, ord("X"), "bad magic"),
+    (9, 2, "unsupported version 2"),
+], ids=["magic", "version"])
+def test_cache_rejects_a_bad_header(tmp_path, zs1000, offset, value,
+                                    message):
+    # a valid checksum over the edited header, so the named check fires
+    path = tmp_path / "cache.bin"
+    zeros.save_cache(zeros.truncate(zs1000, count=5), path)
+    body = bytearray(path.read_bytes()[:-32])
+    body[offset] = value
+    path.write_bytes(bytes(body) + hashlib.sha256(body).digest())
+    with pytest.raises(ValueError, match=f"zero cache: {message}"):
         zeros.load_cache(path)
 
 
