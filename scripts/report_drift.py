@@ -31,13 +31,14 @@ or "ignored_config <key> old→new", with values in JSON and "absent"
 for a missing key.
 
 Each tree also runs the other subcommands through ``cli.main`` in the
-same interpreter: `sieve --limit 1000`, `convolve --limit 1000 --d 3`
-and `zeros-enrich` of the 80 bundled ordinates from a shared text
-file.  For each the script prints "identical" when the two artifacts
-match byte for byte (else the first byte offset where they differ),
-then the moved keys of the manifest's ``config`` and ``ignored_config``
-blocks as above and of its ``results`` block as "results <key>
-old→new".  None of these results holds a timing.
+same interpreter: `sieve --limit 3000000` (whose growth diagnostic
+streams 46 blocks), `convolve --limit 1000 --d 3` and `zeros-enrich`
+of the 80 bundled ordinates from a shared text file.  For each the
+script prints "identical" when the two artifacts match byte for byte
+(else the first byte offset where they differ), then the moved keys
+of the manifest's ``config`` and ``ignored_config`` blocks as above
+and of its ``results`` block as "results <key> old→new".  None of
+these results holds a timing.
 
 Each tree also writes the exact side's artifacts in a fresh
 interpreter: the lambda table to 1e7 and the mu table to 3e6 in the
@@ -108,7 +109,7 @@ CASES = {
 }
 # name -> the other subcommands' argv, each ending in its artifact's name
 COMMANDS = {
-    "sieve": ["sieve", "--limit", "1000", "--output", "sieve.bin"],
+    "sieve": ["sieve", "--limit", "3000000", "--output", "sieve.bin"],
     "convolve": ["convolve", "--limit", "1000", "--d", "3",
                  "--output", "convolve.csv"],
     "zeros-enrich": ["zeros-enrich", "--zeros", ORDS,

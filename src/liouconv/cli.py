@@ -625,13 +625,13 @@ def _cmd_sieve(cfg):
     out = cfg.output or "sieve-table.bin"
     sieve.dump_table(table, out)
     growth = sieve.growth_diagnostic(table)
+    total = int(table.values.sum(dtype=np.int64))
     manifest = _write_manifest(
         cfg, out, {},
         results={"kind": kind, "limit": cfg.limit,
-                 "summatory_at_limit": int(table.prefix[cfg.limit]),
-                 "growth_diagnostic": growth})
+                 "summatory_at_limit": total, "growth_diagnostic": growth})
     print(f"sieve: {kind} up to {cfg.limit}, prefix[{cfg.limit}] = "
-          f"{int(table.prefix[cfg.limit])} -> {out} (+ {manifest})")
+          f"{total} -> {out} (+ {manifest})")
     if growth > 3.0:
         print(f"invariant failure: summatory growth ratio {growth:.3f} "
               f"exceeds 3", file=sys.stderr)
@@ -644,7 +644,7 @@ def _cmd_convolve(cfg):
     series = convolve.convolve_fft(table, cfg.d, cfg.limit)
     out = cfg.output or f"convolution-d{cfg.d}.csv"
     convolve.export_csv(series, out)
-    digest = hashlib.sha256(series.values.tobytes()).hexdigest()
+    digest = hashlib.sha256(series.values).hexdigest()
     manifest = _write_manifest(
         cfg, out, {},
         results={"kind": series.kind, "d": cfg.d, "limit": cfg.limit,
@@ -710,10 +710,9 @@ def _cmd_bench(cfg):
     hash_limit = min(limit, 1 << 14)
     sub = sieve.build_sieve(sieve.KIND_LIOUVILLE, hash_limit)
     h_fft = hashlib.sha256(
-        convolve.convolve_fft(sub, 3, hash_limit).values.tobytes()).hexdigest()
+        convolve.convolve_fft(sub, 3, hash_limit).values).hexdigest()
     h_naive = hashlib.sha256(
-        convolve.convolve_naive(sub, 3,
-                                hash_limit).values.tobytes()).hexdigest()
+        convolve.convolve_naive(sub, 3, hash_limit).values).hexdigest()
     results["d3_hash_limit"] = hash_limit
     results["d3_fft_sha256"] = h_fft
     results["d3_naive_sha256"] = h_naive

@@ -97,31 +97,33 @@ def _fast_len(n: int) -> int:
 
 
 def _points(a, v):
-    """(p, r, lo, hi) per certificate prime p: r drawn from the operands'
-    SHA-256, lo/hi the 16-bit halves of r^k mod p for 0 <= k < _BLOCK."""
+    """(p, r, halves) per certificate prime p: r drawn from the operands'
+    SHA-256, halves the 16-bit halves of r^k mod p stacked (n, 2), for
+    0 <= k < n, the product's length a.size + v.size - 1 up to _BLOCK."""
     seed = hashlib.sha256(a)
     if a is not v:
         seed.update(v)
+    size = min(_BLOCK, a.size + v.size - 1)
     points = []
     for p, word in zip(_PRIMES, np.frombuffer(seed.digest(), "<u8")):
         r = int(word) % (p - 2) + 2
-        pw = np.ones(_BLOCK, dtype=np.int64)
-        for k in (1 << j for j in range(_BLOCK.bit_length() - 1)):
-            pw[k:2 * k] = pw[:k] * pow(r, k, p) % p
-        points.append((p, r, pw & 0xFFFF, pw >> 16))
+        pw = np.ones(size, dtype=np.int64)
+        for k in (1 << j for j in range((size - 1).bit_length())):
+            pw[k:2 * k] = pw[:min(k, size - k)] * pow(r, k, p) % p
+        points.append((p, r, np.stack((pw & 0xFFFF, pw >> 16), axis=1)))
     return points
 
 
 def _eval_mod(c, point, reduce, s=0):
-    """sum_i c[i] r^(s+i) mod p, as two int64 dot products per block
-    against the halves of the powers of r; exact while |c| < 2^31, so
-    ``reduce`` takes c mod p first where c may be larger."""
-    p, r, lo, hi = point
+    """sum_i c[i] r^(s+i) mod p, as one int64 matmul per block against
+    the halves of the powers of r; exact while |c| < 2^31, so ``reduce``
+    takes c mod p first where c may be larger."""
+    p, r, halves = point
     total = 0
     for t in range(0, c.size, _BLOCK):
         blk = c[t:t + _BLOCK] % p if reduce else c[t:t + _BLOCK]
-        val = int(blk @ lo[:blk.size]) + (int(blk @ hi[:blk.size]) << 16)
-        total += val * pow(r, s + t, p)
+        lo, hi = (int(x) for x in blk @ halves[:blk.size])
+        total += (lo + (hi << 16)) * pow(r, s + t, p)
     return total % p
 
 
@@ -262,14 +264,19 @@ def cesaro_prefix(table: SieveTable, x) -> float:
 
 def export_csv(series: ConvolutionSeries, path) -> None:
     """Write `n,value` rows for d <= n <= limit, the bytes of "%d,%d\\n",
-    from each block's digits in a uint8 matrix compacted by one mask."""
+    from each block's digits in a uint8 matrix compacted by one mask.
+    The digits are taken in uint32 when the block's largest n and |S|
+    fit, and in uint64 otherwise."""
     with open(path, "wb") as fh:
         fh.write(b"n,value\n")
         for s in range(series.d, series.limit + 1, _BLOCK):
             vals = series.values[s:s + _BLOCK]
-            n = np.arange(s, s + vals.size, dtype=np.uint64)
-            mag = np.abs(vals).astype(np.uint64)   # exact for every int64
-            wn, wv = len(str(int(n[-1]))), len(str(int(mag.max())))
+            top_n = s + vals.size - 1
+            top_v = max(int(vals.max()), -int(vals.min()))
+            dt = np.uint32 if max(top_n, top_v) < 1 << 32 else np.uint64
+            n = np.arange(s, s + vals.size, dtype=dt)
+            mag = np.abs(vals).astype(dt)   # exact: |S| < 2^32 or uint64
+            wn, wv = len(str(top_n)), len(str(top_v))
             mat = np.empty((vals.size, wn + wv + 3), dtype=np.uint8)
             used = np.ones(mat.shape, dtype=bool)
             mat[:, wn], mat[:, wn + 1], mat[:, -1] = ord(","), ord("-"), 10

@@ -403,11 +403,13 @@ def dirichlet_direct(series: ConvolutionSeries, s, N):
 def dirichlet_explicit(kind, s, zs):
     """Zero expansion of the Dirichlet series of S(n), Re s > 1 + 1e-6.
 
-    Kernel K(w) = s(s+1) / (Gamma(w + 2) (w - s)); for liouville the
-    main term is a^2 K(1) = s(s+1) pi / (8 zeta(1/2)^2 (1 - s)), and
-    moebius keeps the double sum alone.  Every denominator of the
-    expansion (1 - s, rho1 + rho2 - s and rho + 1/2 - s) has modulus at
-    least Re s - 1, so the domain rule alone keeps them off zero.
+    Kernel K(w) = s(s+1) / (Gamma(w + 2) (s - w)), from the integral of
+    x^(w-s-1) over x >= 1; for liouville the main term is
+    a^2 K(1) = s(s+1) pi / (8 zeta(1/2)^2 (s - 1)), so (s - 1) times the
+    total tends to a^2 as s -> 1, and moebius keeps the double sum alone.
+    Every denominator of the expansion (s - 1, s - rho1 - rho2 and
+    s - rho - 1/2) has modulus at least Re s - 1, so the domain rule
+    alone keeps them off zero.
 
     The error term O(|s(s+1)| / (Re s - 1/2 - eps)) of this expansion
     does not shrink as zeros are added, so agreement with
@@ -422,9 +424,9 @@ def dirichlet_explicit(kind, s, zs):
     pref = s * (s + 1.0)
 
     def factor(w, log_kernel):
-        return pref * np.exp(log_kernel) / (w - s)
+        return pref * np.exp(log_kernel) / (s - w)
 
-    # |w - s| >= Re s - 1 on Re w = 1
+    # |s - w| >= Re s - 1 on Re w = 1
     return _expand(kind, zs, 2.0, factor,
                    math.log(abs(pref) / (s.real - 1.0)),
                    abs(pref) / (s.real - 0.5 - ENV_EPS),

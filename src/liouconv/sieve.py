@@ -8,12 +8,16 @@ negates values[n / p] into its multiples n in one int8 call.  For mu,
 where mu(n) = -mu(n / p) unless p^2 | n, the multiples of each p^2 < b
 are then zeroed.  No floating point enters the table values.
 
+A table holds its int8 values, 1 byte per entry; the int64 prefix
+sums are formed on first read, and cost 9 bytes per entry from then on.
+
 dump_table writes a table for outside readers; nothing in the package
 reads it back, as build_sieve rebuilds a table at least as fast.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,8 +35,8 @@ __all__ = [
 KIND_LIOUVILLE = "liouville"
 KIND_MOEBIUS = "moebius"
 
-# values (int8) + prefix (int64) cost 9 bytes per entry, and the build
-# fills both in place, with no working arrays.  2e8 entries ~ 1.8 GB.
+# values (int8) cost 1 byte per entry, filled in place with no working
+# arrays, and 9 once the int64 prefix sums are read.  2e8 entries ~ 1.8 GB.
 MEMORY_LIMIT = 200_000_000
 
 _SEGMENT = 1 << 20
@@ -49,13 +53,20 @@ class SieveTable:
         kind: "liouville" or "moebius".
         limit: largest index N.
         values: int8 array of length N+1; values[0] is unused (0).
-        prefix: int64 running sums, prefix[k] = sum_{n<=k} values[n].
     """
 
     kind: str
     limit: int
     values: np.ndarray
-    prefix: np.ndarray
+
+    @functools.cached_property
+    def prefix(self) -> np.ndarray:
+        """Read-only int64 running sums, prefix[k] = sum_{n<=k} values[n],
+        formed on first read (8 more bytes per entry)."""
+        prefix = self.values.astype(np.int64)
+        np.cumsum(prefix, out=prefix)
+        prefix.setflags(write=False)
+        return prefix
 
 
 def _small_primes(limit: int) -> np.ndarray:
@@ -91,13 +102,12 @@ def build_sieve(kind: str, limit: int) -> SieveTable:
     """Build the full, read-only table for 1..limit.
 
     Segments [a, b) double from [1, 2) up to _SEGMENT entries, so
-    b <= 2a, and _sieve_fill fills each from the values below it; the
-    running sums are formed segment by segment.
+    b <= 2a, and _sieve_fill fills each from the values below it.
 
     Args:
         kind: "liouville" or "moebius".
         limit: table size N >= 1; at most MEMORY_LIMIT (9 bytes/entry
-            held in the result).
+            once the result's prefix sums are read).
 
     Raises:
         ValueError: unknown kind, N = 0, or N over the memory budget.
@@ -109,22 +119,18 @@ def build_sieve(kind: str, limit: int) -> SieveTable:
     if limit > MEMORY_LIMIT:
         raise ValueError(
             f"limit {limit} exceeds the memory budget of {MEMORY_LIMIT} "
-            f"entries (~9 bytes each in the finished table); raise "
+            f"entries (~9 bytes each once its prefix sums are read); raise "
             f"sieve.MEMORY_LIMIT explicitly if you have the RAM")
 
     primes = _small_primes(math.isqrt(limit)).tolist()
     values = np.zeros(limit + 1, dtype=np.int8)
-    prefix = np.zeros(limit + 1, dtype=np.int64)
     a = 1
     while a <= limit:
         b = min(2 * a, a + _SEGMENT, limit + 1)
         _sieve_fill(kind, primes, values, a, b)
-        np.cumsum(values[a:b], dtype=np.int64, out=prefix[a:b])
-        prefix[a:b] += prefix[a - 1]
         a = b
     values.setflags(write=False)
-    prefix.setflags(write=False)
-    return SieveTable(kind=kind, limit=limit, values=values, prefix=prefix)
+    return SieveTable(kind=kind, limit=limit, values=values)
 
 
 def summatory(table: SieveTable, x) -> int:
@@ -143,14 +149,22 @@ def summatory(table: SieveTable, x) -> int:
 
 
 def growth_diagnostic(table: SieveTable) -> float:
-    """Largest |prefix[k]| / k^0.6 over 100 <= k <= N (0.0 below N = 100).
+    """Largest |L(k)| / k^0.6 over 100 <= k <= N (0.0 below N = 100).
 
     Desk-scale sanity check that the summatory function is far below the
-    trivial bound; values above 3 indicate a broken table.
+    trivial bound; values above 3 indicate a broken table.  L(k) is
+    streamed through one 2^16-entry int64 buffer, block by block from
+    k = 100, so table.prefix is never formed.
     """
-    worst = 0.0
-    for a in range(100, table.limit + 1, 1 << 16):
-        peak = np.abs(table.prefix[a:a + (1 << 16)])
+    worst, block = 0.0, 1 << 16
+    buf = np.empty(block, dtype=np.int64)
+    carry = int(table.values[:100].sum(dtype=np.int64))     # L(99)
+    for a in range(100, table.limit + 1, block):
+        peak = buf[:min(block, table.limit + 1 - a)]
+        np.cumsum(table.values[a:a + peak.size], dtype=np.int64, out=peak)
+        peak += carry
+        carry = int(peak[-1])
+        np.abs(peak, out=peak)
         # every k >= a, so no ratio here can exceed peak.max() / a^0.6
         if peak.max() / a ** 0.6 * (1 + 1e-9) < worst:
             continue

@@ -610,6 +610,26 @@ def test_default_artifact_names(tmp_path, monkeypatch):
     assert (tmp_path / "zeros-cache.bin.manifest.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sieve", "--limit", "300000", "--output", "table.bin"],
+    ["convolve", "--limit", "3000", "--d", "3", "--output", "series.csv"],
+], ids=["sieve", "convolve"])
+def test_exact_commands_never_form_prefix_sums(tmp_path, monkeypatch, argv):
+    """sieve takes L(N) from the values and streams growth_diagnostic;
+    convolve never reads the prefix sums either."""
+    def refuse(table):
+        raise AssertionError("prefix sums formed")
+
+    monkeypatch.setattr(sieve.SieveTable, "prefix", property(refuse))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 0
+    if argv[0] == "sieve":
+        values = sieve.build_sieve(sieve.KIND_LIOUVILLE, 300000).values
+        results = json.loads(
+            (tmp_path / "table.bin.manifest.json").read_text())["results"]
+        assert results["summatory_at_limit"] == int(values.sum())
+
+
 def test_sieve_growth_failure_exits_1(tmp_path, monkeypatch, capsys):
     """An all-ones table breaks the growth bound: the table and its
     manifest are still written, and main returns 1 instead of raising."""

@@ -69,20 +69,33 @@ def test_multi_limb_agrees_with_naive():
         assert np.array_equal(a.values, b.values)
 
 
-def test_certificate_catches_a_shifted_value(monkeypatch):
+@pytest.mark.parametrize("limit, index", [(2048, 100), (40000, 70000)])
+def test_certificate_catches_a_shifted_value(monkeypatch, limit, index):
     # a whole-unit error keeps the rounding residue at zero, so only the
-    # modular certificate can see it
-    table = sieve.build_sieve(sieve.KIND_LIOUVILLE, 2048)
+    # modular certificate can see it; at 40000 the product has 79 999
+    # entries and the shift sits in its second block of the power table
+    table = sieve.build_sieve(sieve.KIND_LIOUVILLE, limit)
     irfft = np.fft.irfft
 
     def shifted(*args, **kwargs):
         out = irfft(*args, **kwargs)
-        out[100] += 1.0
+        out[index] += 1.0
         return out
 
     monkeypatch.setattr(convolve.np.fft, "irfft", shifted)
     with pytest.raises(ValueError, match="certificate"):
-        convolve.convolve_fft(table, 2, 2048)
+        convolve.convolve_fft(table, 2, limit)
+
+
+def test_exact_side_forms_no_prefix_sums():
+    # the prefix sums cost 8 bytes per entry, and the folds never read them
+    table = sieve.build_sieve(sieve.KIND_LIOUVILLE, 3000)
+    assert "prefix" not in vars(table)
+    convolve.convolve_fft(table, 3, 3000)
+    assert "prefix" not in vars(table)
+    assert np.array_equal(table.prefix,
+                          np.cumsum(table.values, dtype=np.int64))
+    assert table.prefix is vars(table)["prefix"]
 
 
 @pytest.mark.parametrize("index", [100, 3000])
@@ -250,6 +263,22 @@ def test_export_csv_bytes_on_synthetic_series(tmp_path):
                                              convolve._BLOCK + 2)
     series = convolve.ConvolutionSeries(kind=sieve.KIND_LIOUVILLE, d=2,
                                         limit=limit, values=values)
+    path = tmp_path / "series.csv"
+    convolve.export_csv(series, path)
+    rows = "".join(f"{n},{v}\n"
+                   for n, v in enumerate(values.tolist()) if n >= 2)
+    assert path.read_bytes() == ("n,value\n" + rows).encode()
+
+
+def test_export_csv_bytes_at_the_32_bit_edge(tmp_path, monkeypatch):
+    # blocks of four rows whose largest |S| is 2^32 - 1 (uint32 digits),
+    # 2^32 and 2^63 (uint64 digits)
+    monkeypatch.setattr(convolve, "_BLOCK", 4)
+    values = np.array([0, 0, 2 ** 32 - 1, -(2 ** 32 - 1), 5, 0,
+                       2 ** 32, -7, 1, -(2 ** 32), 3, 2 ** 63 - 1,
+                       -2 ** 63, 0], dtype=np.int64)
+    series = convolve.ConvolutionSeries(kind=sieve.KIND_LIOUVILLE, d=2,
+                                        limit=13, values=values)
     path = tmp_path / "series.csv"
     convolve.export_csv(series, path)
     rows = "".join(f"{n},{v}\n"

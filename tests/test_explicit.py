@@ -193,7 +193,7 @@ def test_single_sums_brute(lio_10k, zs1000, case):
         s = 3.0 + 1.0j
         got = explicit.dirichlet_explicit(kind, s, zsub).single_sum
         terms = _brute_single_terms(zsub, coeff, offset, 2.0,
-                                    lambda u: s * (s + 1.0) / (u - s))
+                                    lambda u: s * (s + 1.0) / (s - u))
     elif name == "exponential":
         y = 0.05
         bd = explicit.exponential_explicit(kind, y, zsub)
@@ -262,7 +262,7 @@ def test_dirichlet_complex_s_double_sum_brute(zs1000, kind):
     else:
         coeff = 1.0 / zsub.zprimes
     pref = s * (s + 1.0)
-    terms = _brute_pair_terms(zsub, coeff, 2.0, lambda z: pref / (z - s))
+    terms = _brute_pair_terms(zsub, coeff, 2.0, lambda z: pref / (s - z))
     brute = complex(math.fsum(t.real for t in terms),
                     math.fsum(t.imag for t in terms))
     assert bd.double_sum == pytest.approx(brute, rel=1e-10)
@@ -282,7 +282,7 @@ def test_four_pattern_pair_sum_matches_the_hermitian_one(zs1000, case):
         bd = explicit.dirichlet_explicit(kind, s, zsub)
 
         def factor(w, log_kernel):
-            return s * (s + 1.0) * np.exp(log_kernel) / (w - s)
+            return s * (s + 1.0) * np.exp(log_kernel) / (s - w)
 
         log_bound = math.log(s * (s + 1.0) / (s - 1.0))
     else:
@@ -382,6 +382,17 @@ def test_dirichlet_explicit_real_axis(zs1000, lio_series_10k):
     # envelope is load bearing here
     assert abs(direct - bd.total) < bd.envelope
     assert bd.pair_terms > 0
+
+
+def test_dirichlet_pole_has_residue_a_squared(zs1000):
+    """sum S(n) n^(-s) ~ a^2 / (s - 1) as s -> 1+, since
+    sum_{n<=x} S(n) ~ a^2 x: the integral of x^(w-s-1) over x >= 1 is
+    1 / (s - w), so the main term's pole enters with a plus sign."""
+    s = 1.001
+    bd = explicit.dirichlet_explicit(sieve.KIND_LIOUVILLE, s,
+                                     zeros.truncate(zs1000, count=100))
+    a = math.sqrt(math.pi) / (2.0 * float(mpmath.zeta(0.5)))
+    assert (s - 1.0) * bd.total == pytest.approx(a * a, abs=1e-3)
 
 
 def test_dirichlet_domain_and_pole_guards(zs1000):

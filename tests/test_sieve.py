@@ -183,13 +183,16 @@ def test_growth_diagnostic_stays_small(lio_100k, moe_100k):
 
 
 def test_growth_diagnostic_matches_the_full_scan():
-    # segments that cannot beat the running worst are skipped; the value
-    # must still be the maximum over every k, across several segments
-    for kind in (sieve.KIND_LIOUVILLE, sieve.KIND_MOEBIUS):
-        table = sieve.build_sieve(kind, 3 * 10 ** 6)
-        k = np.arange(100, table.limit + 1, dtype=np.float64)
-        full = float((np.abs(table.prefix[100:]) / k ** 0.6).max())
-        assert sieve.growth_diagnostic(table) == full
+    # blocks that cannot beat the running worst are skipped; the value
+    # must still be the maximum over every k, across several blocks, up
+    # to a last block of one entry (N = 100 + 2^16), and 0.0 below 100
+    for limit in (99, 100 + (1 << 16), 3 * 10 ** 6):
+        for kind in (sieve.KIND_LIOUVILLE, sieve.KIND_MOEBIUS):
+            table = sieve.build_sieve(kind, limit)
+            k = np.arange(100, table.limit + 1, dtype=np.float64)
+            full = float((np.abs(table.prefix[100:]) / k ** 0.6)
+                         .max(initial=0.0))
+            assert sieve.growth_diagnostic(table) == full
 
 
 def test_bad_arguments_rejected():
