@@ -31,8 +31,10 @@ the option's least value.  Precedence is flags, then the config file,
 then the row's defaults, so the manifest's ``config`` block holds every
 value the run used and None for each option the run does not read.  A
 config-file key the command does not read stays None there; the
-manifest lists it with its file value under ``ignored_config``.  ``main`` returns the exit code, argparse's included:
-0 success, 1 hard invariant violation, 2 usage, input or output error.
+manifest lists it with its file value under ``ignored_config``.
+
+``main`` returns the exit code, argparse's included: 0 success, 1 hard
+invariant violation, 2 usage, input or output error.
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 
 S_d(n) = sum over m_1 + ... + m_d = n (each m_i >= 1) of v(m_1)...v(m_d),
 where v is the Liouville or Moebius function.  The exact integers come
-from d-1 certified FFT folds (``convolve_fft``), each rounded, certified
-and stored in one pass per block; ``convolve_naive`` is the time-domain
-oracle.  ``cesaro_sum`` evaluates the Cesaro sum
+from d-1 certified FFT folds (``convolve_fft``), each a four-step
+transform pair whose product is rounded, certified and stored in one
+pass per block; ``convolve_naive`` is the time-domain oracle.
+``cesaro_sum`` evaluates the Cesaro sum
 (1/(d-1)!) sum S_d(n) (x-n)^{d-1}, rounded once from its exact value;
 ``cesaro_prefix`` gives the d=2 one from the sieve's prefix sums alone,
 with no fold.
@@ -96,6 +97,47 @@ def _fast_len(n: int) -> int:
     return min(c << (-(-n // c) - 1).bit_length() for c in odd if c < 2 * n)
 
 
+def _split(n: int) -> int:
+    """Largest divisor of n >= 1 that is at most sqrt(n)."""
+    return next(f for f in range(math.isqrt(n), 0, -1) if n % f == 0)
+
+
+def _twiddled(y, m, sign):
+    """y (n1 // 2 + 1, n2) times W^(k j), W = exp(sign 2 pi i / m), in
+    place on a contiguous copy if y is not one.  The factor is the
+    broadcast product W^(k j_lo) W^(k c j_hi) of j = j_lo + c j_hi,
+    c = _split(n2), each table entry from its exact integer exponent,
+    which stays below m / 2 since k <= n1 / 2 and j < n2."""
+    rows, n2 = y.shape
+    c = _split(n2)
+    k = np.arange(rows, dtype=np.int64)[:, None, None]
+    t = np.ascontiguousarray(y).reshape(rows, n2 // c, c)
+    for e in (k * np.arange(c), k * (c * np.arange(n2 // c))[:, None]):
+        t *= np.exp(e * (sign * 2j * np.pi / m))
+    return t.reshape(rows, n2)
+
+
+def _rfft(x, m):
+    """Real DFT X of x zero-padded to length m, by the four-step split
+    m = n1 n2, n1 = _split(m) (Bailey 1990): rfft down the columns of
+    the n1 x n2 view, twiddles, fft along its rows.  Returns the
+    (n1 // 2 + 1, n2) array whose [k1, k2] entry is X[k1 + n1 k2]; the
+    other half of X is its conjugate mirror."""
+    n1 = _split(m)
+    buf = np.zeros(m)
+    buf[:x.size] = x
+    y = np.fft.rfft(buf.reshape(n1, m // n1), axis=0)
+    del buf
+    return np.fft.fft(_twiddled(y, m, -1), axis=1)
+
+
+def _irfft(spec, m):
+    """Inverse of _rfft, by its steps undone in reverse order: the
+    length-m real sequence, in natural order."""
+    y = _twiddled(np.fft.ifft(spec, axis=1), m, 1)
+    return np.fft.irfft(y, _split(m), axis=0).reshape(m)
+
+
 def _points(a, v):
     """(p, r, halves) per certificate prime p: r drawn from the operands'
     SHA-256, halves the 16-bit halves of r^k mod p stacked (n, 2), for
@@ -150,10 +192,10 @@ def _fold(a, v, spec_v, m, b, consume, lead):
     n, keep = a.size + v.size - 1, a.size - 1
     prod, residue = np.zeros(lead + keep, dtype=np.int64), 0.0
     for j, limb in enumerate(limbs):
-        spec = np.fft.rfft(limb, m) if limb is not v else (
+        spec = _rfft(limb, m) if limb is not v else (
             spec_v if consume else spec_v.copy())     # first fold's limb
         spec *= spec_v
-        raw = np.fft.irfft(spec, m)
+        raw = _irfft(spec, m)
         del spec
         gap = [-(w if limb is v else _eval_mod(limb, pt, top >= 1 << 31)) * w
                for pt, w in zip(points, v_at)]    # P(r) - limb(r) v(r)
@@ -179,16 +221,22 @@ def convolve_fft(table: SieveTable, d: int, limit: int) -> ConvolutionSeries:
 
     Indices start at n = 1 (v(0) = 0), so one real FFT length m >=
     2*limit - 1, the least 5-smooth one, holds every full product, and
-    rfft(v) is taken once.  The limb width b is the largest with
-    8 eps log2(m) 2^b limit < 0.25, a norm bound on the FFT's rounding
-    error (after Percival 2003).
+    the transform of v is taken once.  Each transform is the four-step
+    factorization m = n1 n2 of _rfft, n1 the largest divisor of m at
+    most sqrt(m): real transforms of length n1 down the columns of the
+    n1 x n2 view, the twiddles W_m^(k1 j2), then transforms of length n2
+    along the rows.  Spectra stay in that transposed order, since the
+    folds only multiply them pointwise.  This is a standard Cooley-Tukey
+    split whose twiddles are within about 2 ulp of exact, so the norm
+    bound on the rounding error (after Percival 2003) still holds: the
+    limb width b is the largest with 8 eps log2(m) 2^b limit < 0.25.
     """
     _check_args(table, d, limit)
     m = _fast_len(max(2, 2 * limit - 1))
     eps = float(np.finfo(np.float64).eps)
     b = math.ceil(math.log2(0.25 / (8 * eps * math.log2(m) * limit))) - 1
     v = table.values[1:limit + 1].astype(np.int64)
-    spec_v = np.fft.rfft(v, m)
+    spec_v = _rfft(v, m)
     acc, limbs, residue = v, [], 0.0
     for fold in range(1, d):
         last = fold == d - 1

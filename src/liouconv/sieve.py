@@ -10,6 +10,9 @@ are then zeroed.  No floating point enters the table values.
 
 A table holds its int8 values, 1 byte per entry; the int64 prefix
 sums are formed on first read, and cost 9 bytes per entry from then on.
+growth_diagnostic never reads them: it takes L(k) at 1024-entry block
+starts from one reshape-sum of the values, and forms running sums only
+in the blocks whose bound can still reach its running maximum.
 
 dump_table writes a table for outside readers; nothing in the package
 reads it back, as build_sieve rebuilds a table at least as fast.
@@ -152,22 +155,30 @@ def growth_diagnostic(table: SieveTable) -> float:
     """Largest |L(k)| / k^0.6 over 100 <= k <= N (0.0 below N = 100).
 
     Desk-scale sanity check that the summatory function is far below the
-    trivial bound; values above 3 indicate a broken table.  L(k) is
-    streamed through one 2^16-entry int64 buffer, block by block from
-    k = 100, so table.prefix is never formed.
+    trivial bound; values above 3 indicate a broken table.  From k = 100
+    the table splits into 1024-entry blocks, and one reshape-sum of the
+    int8 values gives L(a - 1) at every block start a.  No ratio in a
+    block exceeds (|L(a - 1)| + 1024) / a^0.6, so blocks are scanned
+    largest bound first, and only while that bound can still reach the
+    running maximum; table.prefix is never formed.
     """
-    worst, block = 0.0, 1 << 16
-    buf = np.empty(block, dtype=np.int64)
-    carry = int(table.values[:100].sum(dtype=np.int64))     # L(99)
-    for a in range(100, table.limit + 1, block):
-        peak = buf[:min(block, table.limit + 1 - a)]
-        np.cumsum(table.values[a:a + peak.size], dtype=np.int64, out=peak)
-        peak += carry
-        carry = int(peak[-1])
+    block, vals = 1024, table.values
+    starts = np.arange(100, table.limit + 1, block)
+    if not starts.size:
+        return 0.0
+    sums = (vals[100:starts[-1]].reshape(-1, block)   # all but the last
+            .sum(axis=1, dtype=np.int64))
+    before = np.cumsum(np.concatenate(                # L(a - 1)
+        ([vals[:100].sum(dtype=np.int64)], sums)))
+    bound = (np.abs(before) + block) / starts ** 0.6
+    worst = 0.0
+    for i in np.argsort(bound)[::-1]:
+        if bound[i] * (1 + 1e-9) < worst:
+            break
+        a = int(starts[i])
+        peak = np.cumsum(vals[a:a + block], dtype=np.int64)
+        peak += before[i]
         np.abs(peak, out=peak)
-        # every k >= a, so no ratio here can exceed peak.max() / a^0.6
-        if peak.max() / a ** 0.6 * (1 + 1e-9) < worst:
-            continue
         k = np.arange(a, a + peak.size, dtype=np.float64)
         worst = max(worst, float((peak / k ** 0.6).max()))
     return worst

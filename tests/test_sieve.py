@@ -185,8 +185,10 @@ def test_growth_diagnostic_stays_small(lio_100k, moe_100k):
 def test_growth_diagnostic_matches_the_full_scan():
     # blocks that cannot beat the running worst are skipped; the value
     # must still be the maximum over every k, across several blocks, up
-    # to a last block of one entry (N = 100 + 2^16), and 0.0 below 100
-    for limit in (99, 100 + (1 << 16), 3 * 10 ** 6):
+    # to a last block of one or two entries (N = 100 + 1024 k and
+    # 100 + 1024 k + 1), and 0.0 below 100
+    for limit in (99, 100 + (1 << 16), 100 + 1024 * 300,
+                  100 + 1024 * 300 + 1, 3 * 10 ** 6):
         for kind in (sieve.KIND_LIOUVILLE, sieve.KIND_MOEBIUS):
             table = sieve.build_sieve(kind, limit)
             k = np.arange(100, table.limit + 1, dtype=np.float64)
