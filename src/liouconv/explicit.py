@@ -25,7 +25,8 @@ Mixed-sign terms carry a factor that decays like
 exp(-pi min(gamma_i, gamma_j)) and are pruned against a log-magnitude
 bound; same-sign terms decay only polynomially and are always
 evaluated.  pair_terms records how many (pair, pattern) values were
-actually evaluated after pruning.
+actually evaluated after pruning.  The same engine also serves
+double_series_diagnostic, the absolute double series.
 
 Residues and one kernel.  Each factor of a sum over v = lambda or mu is
 an inverse Mellin integral of D(s) Gamma(s), where D(s) = zeta(2s)/zeta(s)
@@ -223,6 +224,9 @@ def _pair_total(gammas, coeff, shift, factor, log_bound, parts, hermitian):
     size of its Gamma ratio times exp(log_bound), a bound on |F| at
     Re z = 1, is below PRUNE_EPS times the largest of 1 and the
     magnitudes in parts (the formula's main and single terms).
+
+    The total runs over ordered pairs of signed zeros, as unordered
+    pairs i <= j with weight 1 on the diagonal and 2 off it.
 
     Returns (total, evaluated_pattern_count).  Pairs are evaluated in
     chunks of _CHUNK to bound memory; the total is one exactly rounded
@@ -490,10 +494,10 @@ def double_series_diagnostic(zs, k, coeff_kind, K):
     A(K') sums |t(z1, z2)| over ordered pairs of signed zeros, z1 and z2
     each ranging over {rho_i, conj rho_i : i <= K'}, with
     t(z1, z2) = f(z1) f(z2) Gamma(z1) Gamma(z2) / Gamma(z1 + z2 + 1 + k)
-    and f = zeta(2 rho)/zeta' (liouville) or 1/zeta' (moebius), reported
-    modulo the global factor 2 from conjugation symmetry: each unordered
-    positive pair, the diagonal included, contributes
-    2 |c_i c_j| (|pp| + |pm|).
+    and f = zeta(2 rho)/zeta' (liouville) or 1/zeta' (moebius).  A(K')
+    is that sum itself, computed by the pair engine _pair_total with
+    coefficients |c| and the factor |Gamma ratio| (so |F| = 1), which
+    prunes mixed-sign terms below PRUNE_EPS as in every double sum.
 
     Returns [A(K/8), A(K/4), A(K/2), A(K)] with integer division;
     absolute convergence needs k > 1/2 and shows up as the tail ratios
@@ -506,19 +510,9 @@ def double_series_diagnostic(zs, k, coeff_kind, K):
         raise ValueError("K must satisfy 1 <= K <= number of zeros")
     if k <= 0.5:
         raise ValueError("absolute convergence needs k > 1/2")
-    gam = zs.gammas[:K]
-    cabs = np.abs(_residues(coeff_kind, zs)[1][:K])
-    shift = 1.0 + k
-    # i <= j, so the pairs of the K'-zero set are those with j < K'
-    ii, jj = _pair_layout(K)
-    terms = np.empty(ii.size)
-    for lo in range(0, ii.size, _CHUNK):
-        ci = ii[lo:lo + _CHUNK]
-        cj = jj[lo:lo + _CHUNK]
-        mag_pp = np.exp(_log_kernel(gam, +1, +1, ci, cj, shift)[1].real)
-        mag_pm = np.exp(_log_kernel(gam, +1, -1, ci, cj, shift)[1].real)
-        terms[lo:lo + _CHUNK] = 2.0 * (cabs[ci] * cabs[cj]) * (mag_pp + mag_pm)
-    return [float(blocked_sum(terms[jj < cut]))
+    cabs = np.abs(_residues(coeff_kind, zs)[1])
+    return [_pair_total(zs.gammas[:cut], cabs[:cut], 1.0 + k,
+                        lambda z, lk: np.exp(lk.real), 0.0, (), True)[0].real
             for cut in (max(1, K // 8), max(1, K // 4), max(1, K // 2), K)]
 
 

@@ -562,8 +562,23 @@ def test_double_series_against_independent_sum(zs1000):
             lg = loggamma(r1).real + loggamma(r2).real
             pp = np.exp(lg - loggamma(r1 + r2 + 2.0).real)
             pm = np.exp(lg - loggamma(r1 + np.conj(r2) + 2.0).real)
-            want = float(np.sum(2.0 * c[i] * c[j] * (pp + pm)))
+            want = float(np.sum(np.where(i == j, 1.0, 2.0)
+                                * 2.0 * c[i] * c[j] * (pp + pm)))
             assert mine[pos] == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("k", [1.0, 1.5])
+@pytest.mark.parametrize("kind", [sieve.KIND_LIOUVILLE, sieve.KIND_MOEBIUS])
+def test_absolute_double_series_is_the_ordered_signed_sum(zs1000, kind, k):
+    K = 8
+    zsub = zeros.truncate(zs1000, count=K)
+    cabs = np.abs((zsub.z2rhos if kind == sieve.KIND_LIOUVILLE else 1.0)
+                  / zsub.zprimes)
+    mine = explicit.double_series_diagnostic(zs1000, k, kind, K)
+    for pos, cut in enumerate((K // 8, K // 4, K // 2, K)):
+        want = math.fsum(abs(t) for t in _brute_pair_terms(
+            zeros.truncate(zsub, count=cut), cabs, 1.0 + k, lambda z: 1.0))
+        assert mine[pos] == pytest.approx(want, rel=1e-12)
 
 
 def test_double_series_partial_sums_increase(zs1000):
